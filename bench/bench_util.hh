@@ -119,10 +119,10 @@ parseStringArg(int argc, char **argv, const std::string &name,
 
 /**
  * Traffic/calibration sampling fidelity from a "--sampling
- * exact|batched|chip-batched" argument (default exact, matching the
- * goldens). All modes are deterministic; batched and chip-batched draw
- * different (aggregated) RNG sequences, so each mode has its own
- * replay stream. Unknown values print a usage message and exit 2.
+ * exact|chip-batched" argument (default exact, matching the goldens).
+ * Both modes are deterministic; chip-batched draws a different
+ * (aggregated) RNG sequence, so each mode has its own replay stream.
+ * Unknown values print a usage message and exit 2.
  */
 inline vspec::SamplingMode
 parseSampling(int argc, char **argv)
@@ -131,13 +131,11 @@ parseSampling(int argc, char **argv)
         parseStringArg(argc, argv, "sampling", "exact");
     if (mode == "exact")
         return vspec::SamplingMode::exact;
-    if (mode == "batched")
-        return vspec::SamplingMode::batched;
     if (mode == "chip-batched")
         return vspec::SamplingMode::chipBatched;
     std::fprintf(stderr,
                  "unknown --sampling mode '%s' "
-                 "(exact|batched|chip-batched)\n",
+                 "(exact|chip-batched)\n",
                  mode.c_str());
     std::exit(2);
 }

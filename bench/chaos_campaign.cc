@@ -16,7 +16,7 @@
  * sides of the kill.
  *
  * Trials alternate between chip-level campaigns (Simulator snapshot,
- * exact and batched sampling), fleet-level campaigns (Fleet snapshot:
+ * exact and chip-batched sampling), fleet-level campaigns (Fleet snapshot:
  * 2 chips, job stream, governor, kill at a random slice) and
  * scale-fleet campaigns (ShardedFleet snapshot: 96 chips with the
  * correlated-event injector, health lifecycle and retry queue armed,
@@ -467,7 +467,7 @@ main(int argc, char **argv)
         ok = chipTrial(t, trial_seed, SamplingMode::exact, duration,
                        chaos) &&
              ok;
-        ok = chipTrial(t, trial_seed, SamplingMode::batched, duration,
+        ok = chipTrial(t, trial_seed, SamplingMode::chipBatched, duration,
                        chaos) &&
              ok;
         ok = fleetTrial(t, trial_seed, duration / 2.0, chaos, pool) &&

@@ -20,7 +20,8 @@
  * from the global grid index, so a resumed window reproduces the
  * uninterrupted points bit-for-bit:
  *
- *   --sampling exact|batched   probe-burst fidelity (default exact)
+ *   --sampling exact|chip-batched
+ *                              probe-burst fidelity (default exact)
  *   --probes N                 probe bursts per (core, Vdd) point
  *                              (default 20000 — the figure's
  *                              resolution; tests dial it down)
@@ -81,7 +82,7 @@ readCheckpoint(const std::string &path, SamplingMode &sampling,
     if (bench != "fig13_error_probability")
         throw SnapshotError("snapshot belongs to bench '" + bench +
                             "', not fig13_error_probability");
-    sampling = SamplingMode(r.getU8());
+    sampling = samplingModeFromByte(r.getU8());
     const std::uint64_t probes = r.getU64();
     if (probes != expected_probes)
         throw SnapshotError("snapshot probes-per-point " +

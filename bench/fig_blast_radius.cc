@@ -31,7 +31,7 @@
  *   --json        machine-readable output.
  *   --chips N     fleet size (default 1536).
  *   --duration S  simulated seconds per variant (default 40).
- *   --sampling exact|batched|chip-batched
+ *   --sampling exact|chip-batched
  *                 hot-loop sampling granularity (default exact).
  */
 

@@ -22,7 +22,7 @@
  *   --weeks N        aging horizon in weeks (default 4)
  *   --settle S       simulated seconds per re-convergence (default 6)
  *   --temp-swing C   seasonal temperature amplitude (default 12)
- *   --sampling exact|batched|chip-batched
+ *   --sampling exact|chip-batched
  *                    fault-sampling fidelity of the settle runs (see
  *                    common/sampling.hh; default exact)
  *

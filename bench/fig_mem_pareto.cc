@@ -21,15 +21,14 @@
  *   --vmin MV     bottom of the sweep (default 1020)
  *   --vstep MV    grid step (default 10)
  *   --temp C      array temperature (default 45)
- *   --sampling exact|batched|chip-batched
+ *   --sampling exact|chip-batched
  *                 probe task granularity. Exact reproduces the
  *                 historical draws: one pool task per (kind, Vdd),
- *                 each rebuilding its array. Batched sweeps a whole
- *                 kind inside one task from a single array build —
- *                 same statistics, different RNG sequence, ~grid-size
- *                 fewer array constructions. Chip-batched behaves as
- *                 batched here (one array per kind already is chip
- *                 granularity).
+ *                 each rebuilding its array. Chip-batched sweeps a
+ *                 whole kind inside one task from a single array
+ *                 build (one array per kind already is chip
+ *                 granularity) — same statistics, different RNG
+ *                 sequence, ~grid-size fewer array constructions.
  *
  * Output is byte-identical for every --threads value.
  */
@@ -151,7 +150,7 @@ runPoint(MemKind kind, Millivolt vdd, Celsius temp,
     return measurePoint(*array, kind, vdd, probes, rng);
 }
 
-/** Batched modes: one task sweeps a whole kind from a single build. */
+/** Chip-batched mode: one task sweeps a whole kind from a single build. */
 std::vector<ParetoPoint>
 runKind(MemKind kind, const std::vector<Millivolt> &grid, Celsius temp,
         std::uint64_t probes, Rng &rng)
@@ -218,7 +217,7 @@ main(int argc, char **argv)
             points.push_back(*outcome.value);
         }
     } else {
-        // Batched: one task per kind, the array built once and swept
+        // Chip-batched: one task per kind, the array built once and swept
         // down the voltage axis. Task order is still deterministic, so
         // output stays byte-identical across --threads — it differs
         // from exact only in the (documented) draw sequence.

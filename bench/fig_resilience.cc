@@ -17,7 +17,8 @@
  *
  *   --duration S               campaign length in simulated seconds
  *                              (default 240)
- *   --sampling exact|batched   traffic/calibration fidelity (default
+ *   --sampling exact|chip-batched
+ *                              traffic/calibration fidelity (default
  *                              exact; each mode has its own replay
  *                              stream)
  *   --checkpoint FILE          snapshot target path
@@ -93,7 +94,7 @@ runWithRecovery(SamplingMode sampling, Seconds duration,
         if (bench != "fig_resilience")
             throw SnapshotError("snapshot belongs to bench '" + bench +
                                 "', not fig_resilience");
-        sampling = SamplingMode(reader->getU8());
+        sampling = samplingModeFromByte(reader->getU8());
         reader->endSection();
     }
 

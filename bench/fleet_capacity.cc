@@ -21,7 +21,7 @@
  * The campaign is checkpointable at scheduling-slice granularity; a
  * run killed at any slice and resumed is byte-identical to the
  * uninterrupted run, for any worker-thread count:
- *   --sampling exact|batched|chip-batched
+ *   --sampling exact|chip-batched
  *                 per-node fidelity (default exact). chip-batched
  *                 collapses each chip (row mode) or each margin bucket
  *                 of a shard (scale mode) to one aggregate draw pair
@@ -467,12 +467,7 @@ main(int argc, char **argv)
             if (bench != "fleet_capacity")
                 throw SnapshotError("snapshot belongs to bench '" +
                                     bench + "', not fleet_capacity");
-            const std::uint8_t mode_u8 = reader->getU8();
-            if (mode_u8 > std::uint8_t(SamplingMode::chipBatched))
-                throw SnapshotError(
-                    "snapshot carries invalid sampling mode " +
-                    std::to_string(unsigned(mode_u8)));
-            sampling = SamplingMode(mode_u8);
+            sampling = samplingModeFromByte(reader->getU8());
             duration = reader->getDouble();
             const std::uint64_t n_reports = reader->getU64();
             resume_fleet = reader->getBool();

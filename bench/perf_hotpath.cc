@@ -8,21 +8,18 @@
  *
  *  1. probe: per-line event-probability queries in the access pattern
  *     of the ECC monitors (a small working set of weak lines revisited
- *     across a voltage grid). Measured three ways — through the
- *     production LUT path (lineEventProbabilities), through the
- *     vectorized no-LUT recompute (lineEventProbabilitiesVec: one
- *     simd::normalCdfBatch per line), and through a reference
- *     reimplementation of the pre-LUT cost (copy-returning weak-cell
- *     range query + per-cell normalCdf fold on every call). The ratios
- *     are the speedups the span index + LUT and the SIMD lanes buy.
+ *     across a voltage grid). Measured two ways — through the
+ *     production LUT path (lineEventProbabilities) and through a
+ *     reference reimplementation of the pre-LUT cost (copy-returning
+ *     weak-cell range query + per-cell normalCdf fold on every call).
+ *     The ratio is the speedup the span index + LUT buy.
  *  2. sweep: full data calibration sweeps of one L2D array — naive
- *     reference, current exact, SamplingMode::batched, and the
- *     chip-batched aggregate path (two draws per pass over cached
- *     whole-array rates).
+ *     reference, current exact, and the chip-batched aggregate path
+ *     (two draws per pass over cached whole-array rates).
  *  3. burst: a fig13-style probe-burst voltage sweep over four cores of
  *     a fixed chip (throughput of the whole probeLine stack).
  *  4. fleet: a 2-chip fleet slice (construction + calibration + run),
- *     exact vs batched vs chip-batched.
+ *     exact vs chip-batched.
  *
  * Every lane is timed three times and reports the median run, so a
  * scheduler hiccup in one repetition cannot sink (or inflate) a
@@ -31,7 +28,8 @@
  * Options:
  *   --json                machine-readable output (BENCH_hotpath.json).
  *   --min-probe-speedup X fail (exit 2) if section 1's speedup < X.
- *   --min-sweep-speedup X fail (exit 2) if section 2's speedup < X.
+ *   --min-sweep-speedup X fail (exit 2) if section 2's chip-batched
+ *                         sweep speedup < X.
  *
  * The CI perf-smoke job runs this binary and compares the dimensionless
  * speedup ratios against the committed BENCH_hotpath.json baseline
@@ -221,24 +219,7 @@ main(int argc, char **argv)
     });
     measures.push_back({"probe_lut", lut_ms, probe_calls});
 
-    double checksum_simd = 0.0;
-    const double simd_ms = medianMs([&] {
-        for (unsigned it = 0; it < probeIters; ++it) {
-            for (const WeakLineInfo &line : lines) {
-                for (const Millivolt v : grid) {
-                    double pc = 0.0, pu = 0.0;
-                    l2d.lineEventProbabilitiesVec(line.set, line.way, v,
-                                                  pc, pu);
-                    checksum_simd += pc + pu;
-                }
-            }
-        }
-    });
-    measures.push_back({"probe_simd", simd_ms, probe_calls});
-
-    // The LUT path must be numerically identical to the reference; the
-    // vectorized path uses West's Phi instead of libm erfc, so it only
-    // has to agree to the CDF approximation's accuracy.
+    // The LUT path must be numerically identical to the reference.
     max_abs_err = std::abs(checksum_naive - checksum_lut);
     if (max_abs_err > 1e-9 * std::max(1.0, std::abs(checksum_naive))) {
         std::fprintf(stderr,
@@ -247,27 +228,18 @@ main(int argc, char **argv)
                      checksum_lut, checksum_naive);
         return 1;
     }
-    if (std::abs(checksum_naive - checksum_simd) >
-        1e-6 * std::max(1.0, std::abs(checksum_naive))) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD probe path diverged from reference "
-                     "(%.17g vs %.17g)\n",
-                     checksum_simd, checksum_naive);
-        return 1;
-    }
 
     const double probe_speedup = naive_ms / std::max(lut_ms, 1e-6);
-    const double probe_simd_speedup = naive_ms / std::max(simd_ms, 1e-6);
 
     // ---------------------------------------------------------------
     // Section 2: calibration data sweep — pre-optimization reference
     // ("naive": per-line weak-cell vector copies + per-probe
     // probability recomputation, as the library did before the span
-    // index and LUT), current exact, and batched.
+    // index and LUT), current exact, and chip-batched.
     // ---------------------------------------------------------------
     constexpr unsigned sweepReps = 20;
     constexpr std::uint64_t readsPerPattern = 2500;
-    // Snap the sweep voltage to the LUT quantization grid so batched
+    // Snap the sweep voltage to the LUT quantization grid so chip-batched
     // mode evaluates the same probabilities as exact mode and the event
     // counts are comparable within Poisson noise (off-grid voltages
     // carry the documented bounded quantization bias instead).
@@ -313,8 +285,8 @@ main(int argc, char **argv)
     });
     measures.push_back({"sweep_naive", sweep_naive_ms, sweepReps});
 
-    std::uint64_t exact_events = 0, batched_events = 0, vec_events = 0;
-    Rng rng_exact(0x5EEDULL), rng_batched(0x5EEDULL), rng_vec(0x5EEDULL);
+    std::uint64_t exact_events = 0, vec_events = 0;
+    Rng rng_exact(0x5EEDULL), rng_vec(0x5EEDULL);
 
     const double sweep_exact_ms = medianMs([&] {
         for (unsigned r = 0; r < sweepReps; ++r) {
@@ -324,17 +296,6 @@ main(int argc, char **argv)
         }
     });
     measures.push_back({"sweep_exact", sweep_exact_ms, sweepReps});
-
-    const double sweep_batched_ms = medianMs([&] {
-        for (unsigned r = 0; r < sweepReps; ++r) {
-            batched_events += sweep::dataSweep(l2d, v_sweep,
-                                               readsPerPattern,
-                                               rng_batched,
-                                               SamplingMode::batched)
-                                  .totalCorrectable;
-        }
-    });
-    measures.push_back({"sweep_batched", sweep_batched_ms, sweepReps});
 
     // The aggregate sweep costs microseconds per pass, so it needs far
     // more repetitions than the walking lanes for a stable median; the
@@ -350,39 +311,32 @@ main(int argc, char **argv)
     });
     measures.push_back({"sweep_vectorized", sweep_vec_ms, vecReps});
 
-    const double sweep_speedup =
-        sweep_naive_ms / std::max(sweep_batched_ms, 1e-6);
     const double sweep_exact_speedup =
         sweep_naive_ms / std::max(sweep_exact_ms, 1e-6);
     const double sweep_vec_speedup =
         (sweep_naive_ms / double(sweepReps)) /
         std::max(sweep_vec_ms / double(vecReps), 1e-9);
     // Distributional sanity: same mean event count per sweep within
-    // 5 sigma of the Poisson-scale noise, for both fast modes. Each
-    // lane accumulated over 3 timed repetitions of its rep count.
-    const auto check_events = [&](std::uint64_t got, unsigned got_reps,
-                                  const char *label) -> bool {
+    // 5 sigma of the Poisson-scale noise. Each lane accumulated over 3
+    // timed repetitions of its rep count.
+    {
         const double n_exact = 3.0 * sweepReps;
-        const double n_got = 3.0 * got_reps;
+        const double n_vec = 3.0 * vecReps;
         const double m_exact = double(exact_events) / n_exact;
-        const double m_got = double(got) / n_got;
-        const double pooled = 0.5 * (m_exact + m_got);
+        const double m_vec = double(vec_events) / n_vec;
+        const double pooled = 0.5 * (m_exact + m_vec);
         const double tolerance =
             5.0 * std::sqrt(std::max(pooled, 1.0) *
-                            (1.0 / n_exact + 1.0 / n_got));
-        if (std::abs(m_exact - m_got) > tolerance) {
+                            (1.0 / n_exact + 1.0 / n_vec));
+        if (std::abs(m_exact - m_vec) > tolerance) {
             std::fprintf(stderr,
-                         "FAIL: %s sweep event rate diverged "
-                         "(%.1f exact vs %.1f %s per sweep, "
+                         "FAIL: chip-batched sweep event rate diverged "
+                         "(%.1f exact vs %.1f chip-batched per sweep, "
                          "tolerance %.2f)\n",
-                         label, m_exact, m_got, label, tolerance);
-            return false;
+                         m_exact, m_vec, tolerance);
+            return 1;
         }
-        return true;
-    };
-    if (!check_events(batched_events, sweepReps, "batched") ||
-        !check_events(vec_events, vecReps, "chip-batched"))
-        return 1;
+    }
 
     // ---------------------------------------------------------------
     // Section 3: fig13-style probe-burst voltage sweep, fixed chip.
@@ -412,7 +366,7 @@ main(int argc, char **argv)
     measures.push_back({"fig13_burst", burst_ms, burst_probes});
 
     // ---------------------------------------------------------------
-    // Section 4: fleet slice, exact vs batched vs chip-batched.
+    // Section 4: fleet slice, exact vs chip-batched.
     // ---------------------------------------------------------------
     ExperimentPool pool(parseThreads(argc, argv));
     constexpr Seconds fleetDuration = 2.0;
@@ -427,14 +381,9 @@ main(int argc, char **argv)
     const double fleet_exact_ms = fleet_lane(SamplingMode::exact);
     measures.push_back({"fleet_exact", fleet_exact_ms, 2});
 
-    const double fleet_batched_ms = fleet_lane(SamplingMode::batched);
-    measures.push_back({"fleet_batched", fleet_batched_ms, 2});
-
     const double fleet_chip_ms = fleet_lane(SamplingMode::chipBatched);
     measures.push_back({"fleet_chipbatched", fleet_chip_ms, 2});
 
-    const double fleet_speedup =
-        fleet_exact_ms / std::max(fleet_batched_ms, 1e-6);
     const double fleet_chip_speedup =
         fleet_exact_ms / std::max(fleet_chip_ms, 1e-6);
 
@@ -456,18 +405,14 @@ main(int argc, char **argv)
         doc.endArray();
         doc.key("speedups").beginObject();
         doc.key("probeLutVsNaive").value(probe_speedup);
-        doc.key("probeSimdVsNaive").value(probe_simd_speedup);
         doc.key("sweepExactVsNaive").value(sweep_exact_speedup);
-        doc.key("sweepBatchedVsNaive").value(sweep_speedup);
         doc.key("sweepVectorizedVsNaive").value(sweep_vec_speedup);
-        doc.key("fleetBatchedVsExact").value(fleet_speedup);
         doc.key("fleetChipBatchedVsExact").value(fleet_chip_speedup);
         doc.endObject();
         doc.key("checks").beginObject();
         doc.key("probeChecksumAbsError").value(max_abs_err);
         doc.key("sweepNaiveEvents").value(naive_events);
         doc.key("sweepExactEvents").value(exact_events);
-        doc.key("sweepBatchedEvents").value(batched_events);
         doc.key("sweepVectorizedEvents").value(vec_events);
         doc.key("burstEvents").value(burst_events);
         doc.key("simdBackend").value(simd::backendName());
@@ -486,14 +431,10 @@ main(int argc, char **argv)
                                              m.work, 1)));
         }
         std::printf("\nspeedups vs pre-optimization reference: probe LUT "
-                    "%.1fx, probe SIMD %.1fx, sweep exact %.1fx, sweep "
-                    "batched %.1fx, sweep vectorized %.1fx; fleet "
-                    "batched vs exact %.1fx, fleet chip-batched vs "
-                    "exact %.1fx [%s]\n",
-                    probe_speedup, probe_simd_speedup,
-                    sweep_exact_speedup, sweep_speedup, sweep_vec_speedup,
-                    fleet_speedup, fleet_chip_speedup,
-                    simd::backendName());
+                    "%.1fx, sweep exact %.1fx, sweep vectorized %.1fx; "
+                    "fleet chip-batched vs exact %.1fx [%s]\n",
+                    probe_speedup, sweep_exact_speedup, sweep_vec_speedup,
+                    fleet_chip_speedup, simd::backendName());
     }
 
     if (min_probe > 0.0 && probe_speedup < min_probe) {
@@ -502,10 +443,11 @@ main(int argc, char **argv)
                      probe_speedup, min_probe);
         return 2;
     }
-    if (min_sweep > 0.0 && sweep_speedup < min_sweep) {
+    if (min_sweep > 0.0 && sweep_vec_speedup < min_sweep) {
         std::fprintf(stderr,
-                     "FAIL: sweep speedup %.2fx below floor %.2fx\n",
-                     sweep_speedup, min_sweep);
+                     "FAIL: chip-batched sweep speedup %.2fx below floor "
+                     "%.2fx\n",
+                     sweep_vec_speedup, min_sweep);
         return 2;
     }
     return 0;

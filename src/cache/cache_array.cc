@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/counter_rng.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
 
@@ -136,10 +135,9 @@ CacheArray::lineWeakCells(std::uint64_t set, unsigned way) const
     return weak;
 }
 
-template <typename RngT>
 LineReadResult
-CacheArray::readLineImpl(std::uint64_t set, unsigned way, Millivolt v_eff,
-                         RngT &rng) const
+CacheArray::readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
+                     Rng &rng) const
 {
     checkLocation(set, way);
     LineReadResult result;
@@ -179,20 +177,6 @@ CacheArray::readLineImpl(std::uint64_t set, unsigned way, Millivolt v_eff,
         }
     }
     return result;
-}
-
-LineReadResult
-CacheArray::readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
-                     Rng &rng) const
-{
-    return readLineImpl(set, way, v_eff, rng);
-}
-
-LineReadResult
-CacheArray::readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
-                     CounterRng &rng) const
-{
-    return readLineImpl(set, way, v_eff, rng);
 }
 
 void
@@ -367,30 +351,6 @@ CacheArray::foldSpanProbabilities(const WeakCell *first,
 
     p_correctable = e_corr;
     p_uncorrectable = 1.0 - p_no_uncorr;
-}
-
-void
-CacheArray::lineEventProbabilitiesVec(std::uint64_t set, unsigned way,
-                                      Millivolt v_eff,
-                                      double &p_correctable,
-                                      double &p_uncorrectable) const
-{
-    const WeakCellSpan span = lineWeakSpan(set, way);
-    if (span.empty()) {
-        p_correctable = 0.0;
-        p_uncorrectable = 0.0;
-        return;
-    }
-    const double sigma = cells.distribution().sigmaDynamic;
-    zScratch.resize(span.size());
-    for (std::size_t i = 0; i < span.size(); ++i)
-        zScratch[i] = (span[i].vc - v_eff) / sigma;
-    phiScratch.resize(span.size());
-    simd::normalCdfBatch(zScratch.data(), zScratch.size(),
-                         phiScratch.data());
-    foldSpanProbabilities(span.begin(), span.end(), phiScratch.data(),
-                          lineCellBase(set, way), p_correctable,
-                          p_uncorrectable);
 }
 
 void

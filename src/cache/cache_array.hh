@@ -39,7 +39,6 @@ namespace vspec
 
 class StateWriter;
 class StateReader;
-class CounterRng;
 
 /** A weak line summary: where it is and how weak. */
 struct WeakLineInfo
@@ -99,19 +98,9 @@ class CacheArray
                             Millivolt v_eff, Rng &rng) const;
 
     /**
-     * Counter-stream flavor of the bit-accurate read: the per-cell
-     * survival draws run through the SIMD bernoulliMask lanes (see
-     * SramArray::sampleAccessFlipsInto's CounterRng overload). Same
-     * flip distribution and decode path; different draw sequence.
-     */
-    LineReadResult readLine(std::uint64_t set, unsigned way,
-                            Millivolt v_eff, CounterRng &rng) const;
-
-    /**
      * Aggregate probe of one line: n_accesses full-line reads. With
-     * SamplingMode::batched (or chipBatched) the per-access
-     * probabilities come from the quantized (bucket-center) LUT
-     * instead of the exact voltage.
+     * SamplingMode::chipBatched the per-access probabilities come from
+     * the quantized (bucket-center) LUT instead of the exact voltage.
      */
     ProbeStats probeLine(std::uint64_t set, unsigned way, Millivolt v_eff,
                          std::uint64_t n_accesses, Rng &rng,
@@ -136,7 +125,7 @@ class CacheArray
                                 double &p_uncorrectable) const;
 
     /**
-     * Quantized flavor for the opt-in batched sampling mode: evaluates
+     * Quantized flavor for the opt-in chip-batched sampling mode: evaluates
      * the probabilities at the center of v_eff's probQuantMv bucket, so
      * every voltage in a bucket shares one cached entry (maximum hit
      * rate under a noisy rail). Introduces a bounded model error of at
@@ -149,18 +138,6 @@ class CacheArray
                                          Millivolt v_eff,
                                          double &p_correctable,
                                          double &p_uncorrectable) const;
-
-    /**
-     * Vectorized no-LUT recompute of one line's event probabilities:
-     * all the line's z-scores go through one simd::normalCdfBatch call
-     * (West's Phi, not libm erfc) before the per-word fold. Not
-     * numerically interchangeable with lineEventProbabilities — this is
-     * the probe path of the vectorized sampling modes and the
-     * probe_simd bench lane. Byte-identical across SIMD backends.
-     */
-    void lineEventProbabilitiesVec(std::uint64_t set, unsigned way,
-                                   Millivolt v_eff, double &p_correctable,
-                                   double &p_uncorrectable) const;
 
     /**
      * Whole-array aggregate event rates at the bucket center of
@@ -325,7 +302,7 @@ class CacheArray
     /** Scratch for readLine's flip sampling (no per-call allocation). */
     mutable std::vector<std::uint64_t> flipScratch;
 
-    /** Scratch for the vectorized probability folds: z-scores in,
+    /** Scratch for the aggregate probability fold: z-scores in,
      *  batched Phi values out. */
     mutable std::vector<double> zScratch;
     mutable std::vector<double> phiScratch;
@@ -378,18 +355,12 @@ class CacheArray
     /**
      * The same per-word fold over cells [first, last) with failure
      * probabilities already evaluated into @p probs (one per cell).
-     * Shared by the vectorized per-line and whole-array paths.
+     * Used by the whole-array aggregate fold.
      */
     void foldSpanProbabilities(const WeakCell *first, const WeakCell *last,
                                const double *probs, std::uint64_t base,
                                double &p_correctable,
                                double &p_uncorrectable) const;
-
-    /** Shared body of the two readLine overloads (defined in the .cc;
-     *  only the flip-sampling RNG flavor differs). */
-    template <typename RngT>
-    LineReadResult readLineImpl(std::uint64_t set, unsigned way,
-                                Millivolt v_eff, RngT &rng) const;
 
     std::uint64_t lineIndex(std::uint64_t set, unsigned way) const;
     void checkLocation(std::uint64_t set, unsigned way) const;

@@ -72,7 +72,7 @@ namespace
 template <typename WriteLine>
 SweepResult
 sweepAllLines(CacheArray &array, Millivolt v_eff, std::uint64_t reads,
-              Rng &rng, SamplingMode mode, WriteLine &&write_line)
+              Rng &rng, WriteLine &&write_line)
 {
     SweepResult result;
     const auto &geo = array.geometry();
@@ -86,10 +86,9 @@ sweepAllLines(CacheArray &array, Millivolt v_eff, std::uint64_t reads,
                 ++result.linesTested;
                 continue;
             }
-            if (mode == SamplingMode::exact)
-                write_line(set, way);
+            write_line(set, way);
             const ProbeStats stats =
-                array.probeLine(set, way, v_eff, reads, rng, mode);
+                array.probeLine(set, way, v_eff, reads, rng);
             if (stats.correctableEvents > 0) {
                 result.correctablePerLine[{set, way}] +=
                     stats.correctableEvents;
@@ -146,19 +145,11 @@ dataSweep(CacheArray &array, Millivolt v_eff,
                               reads_per_pattern * dataPatterns.size(),
                               rng);
     }
-    if (mode == SamplingMode::batched) {
-        // One aggregate pass over all patterns: same per-line access
-        // count, one binomial epoch draw instead of one per pattern.
-        return sweepAllLines(array, v_eff,
-                             reads_per_pattern * dataPatterns.size(),
-                             rng, mode,
-                             [](std::uint64_t, unsigned) {});
-    }
 
     SweepResult total;
     for (std::uint64_t pattern : dataPatterns) {
         total.merge(sweepAllLines(
-            array, v_eff, reads_per_pattern, rng, mode,
+            array, v_eff, reads_per_pattern, rng,
             [&](std::uint64_t set, unsigned way) {
                 array.writePattern(set, way, pattern);
             }));
@@ -172,12 +163,8 @@ instructionSweep(CacheArray &array, Millivolt v_eff,
 {
     if (mode == SamplingMode::chipBatched)
         return sweepAggregate(array, v_eff, reads_per_line, rng);
-    if (mode == SamplingMode::batched) {
-        return sweepAllLines(array, v_eff, reads_per_line, rng, mode,
-                             [](std::uint64_t, unsigned) {});
-    }
     const InstructionTemplate tmpl(array.geometry().wordsPerLine());
-    return sweepAllLines(array, v_eff, reads_per_line, rng, mode,
+    return sweepAllLines(array, v_eff, reads_per_line, rng,
                          [&](std::uint64_t set, unsigned way) {
                              array.writeLine(set, way, tmpl.words());
                          });

@@ -92,16 +92,12 @@ constexpr std::array<std::uint64_t, 4> dataPatterns = {
  * Sweep every line of a data array at effective supply v_eff: for each
  * line and each pattern, write then read @p reads_per_pattern times.
  *
- * SamplingMode::batched collapses the per-pattern passes into one
- * aggregate probe of reads_per_pattern * |patterns| accesses per line
- * and skips the simulated pattern writes entirely — cell failures are
- * content-independent, so the event-count distribution is unchanged
- * (the per-line draw count and stored line contents are not).
- *
- * SamplingMode::chipBatched goes one level further: the whole array
- * collapses to two draws per pass over cached aggregate rates
- * (CacheArray::aggregateEventRates), with correctable events
- * attributed to the weakest line.
+ * SamplingMode::chipBatched skips the simulated pattern writes and
+ * collapses the whole array to two draws over cached aggregate rates
+ * (CacheArray::aggregateEventRates) for reads_per_pattern * |patterns|
+ * accesses per line — cell failures are content-independent, so the
+ * event-count distribution is unchanged — and attributes the
+ * correctable events to the weakest line.
  */
 SweepResult dataSweep(CacheArray &array, Millivolt v_eff,
                       std::uint64_t reads_per_pattern, Rng &rng,
@@ -110,8 +106,8 @@ SweepResult dataSweep(CacheArray &array, Millivolt v_eff,
 /**
  * Sweep every line of an instruction array: the replicated template is
  * written to each line (as the firmware's memory copy would place it)
- * and then fetched @p reads_per_line times. SamplingMode::batched
- * skips the template writes and probes each line once, as above.
+ * and then fetched @p reads_per_line times. SamplingMode::chipBatched
+ * skips the template writes and draws from the aggregate, as above.
  */
 SweepResult instructionSweep(CacheArray &array, Millivolt v_eff,
                              std::uint64_t reads_per_line, Rng &rng,

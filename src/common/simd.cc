@@ -1,9 +1,8 @@
 #include "common/simd.hh"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-
-#include "common/counter_rng.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -33,9 +32,6 @@ namespace
 // byte-identity then only depends on the operation *sequence*, which
 // each backend mirrors statement for statement.
 // ---------------------------------------------------------------------
-
-/** Threefry-2x64 rotation schedule (must match counter_rng.cc). */
-constexpr std::uint64_t tfKeyParity = 0x1BD11BDAA9FC1A22ULL;
 
 /** exp() argument clamp: keeps 2^n in the normal range (n >= -1021). */
 constexpr double expMin = -708.0;
@@ -73,11 +69,6 @@ constexpr double phiDen[8] = {
     86.7807322029461,   296.564248779674, 637.333633378831,
     793.826512519948,   440.413735824752,
 };
-
-/** 2^52 and 2^-52 for the exact u64 -> double uniform mapping. */
-constexpr double two52 = 4503599627370496.0;
-constexpr double invTwo52 = 0x1.0p-52;
-constexpr std::int64_t two52Bits = 0x4330000000000000LL;
 
 std::int64_t
 bitsOf(double x)
@@ -149,49 +140,11 @@ phiWest(double z)
     return z > 0.0 ? 1.0 - p : p;
 }
 
-/**
- * One scalar Bernoulli trial of the counter stream: trial index j maps
- * to word j % 2 of block c0 + j / 2. Shared by the portable kernel and
- * every vector backend's remainder loop, so tails stay byte-identical.
- */
-bool
-bernoulliTrial(double p, std::uint64_t key0, std::uint64_t key1,
-               std::uint64_t ctr0, std::size_t j)
-{
-    std::uint64_t words[2];
-    CounterRng::block(key0, key1, ctr0 + j / 2, 0, words);
-    const double u = CounterRng::toUniform(words[j % 2]);
-    return p > 0.0 && (p >= 1.0 || u < p);
-}
-
-void
-threefryFillPortable(std::uint64_t key0, std::uint64_t key1,
-                     std::uint64_t ctr0, std::size_t n_blocks,
-                     std::uint64_t *out)
-{
-    for (std::size_t i = 0; i < n_blocks; ++i)
-        CounterRng::block(key0, key1, ctr0 + i, 0, out + 2 * i);
-}
-
 void
 normalCdfBatchPortable(const double *z, std::size_t n, double *out)
 {
     for (std::size_t i = 0; i < n; ++i)
         out[i] = phiWest(z[i]);
-}
-
-std::size_t
-bernoulliMaskPortable(const double *p, std::size_t n, std::uint64_t key0,
-                      std::uint64_t key1, std::uint64_t ctr0,
-                      std::uint8_t *mask)
-{
-    std::size_t count = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-        const bool hit = bernoulliTrial(p[j], key0, key1, ctr0, j);
-        mask[j] = hit ? 1 : 0;
-        count += hit ? 1 : 0;
-    }
-    return count;
 }
 
 // ---------------------------------------------------------------------
@@ -201,68 +154,6 @@ bernoulliMaskPortable(const double *p, std::size_t n, std::uint64_t key0,
 // ---------------------------------------------------------------------
 
 #if defined(__x86_64__) && !defined(VSPEC_DISABLE_SIMD)
-
-#define VSPEC_TF_ROUND_AVX2(k)                                              \
-    do {                                                                    \
-        x0 = _mm256_add_epi64(x0, x1);                                      \
-        x1 = _mm256_or_si256(_mm256_slli_epi64(x1, (k)),                    \
-                             _mm256_srli_epi64(x1, 64 - (k)));              \
-        x1 = _mm256_xor_si256(x1, x0);                                      \
-    } while (0)
-
-/** Four Threefry-2x64-20 blocks, counters c0..c0+3, second word 0. */
-__attribute__((target("avx2"))) void
-threefryBlocks4Avx2(std::uint64_t key0, std::uint64_t key1,
-                    std::uint64_t c0, __m256i &x0, __m256i &x1)
-{
-    const std::uint64_t ks[3] = {key0, key1, tfKeyParity ^ key0 ^ key1};
-    x0 = _mm256_add_epi64(
-        _mm256_set_epi64x(std::int64_t(c0 + 3), std::int64_t(c0 + 2),
-                          std::int64_t(c0 + 1), std::int64_t(c0)),
-        _mm256_set1_epi64x(std::int64_t(ks[0])));
-    x1 = _mm256_set1_epi64x(std::int64_t(ks[1]));
-    for (unsigned inj = 0; inj < 5; ++inj) {
-        if ((inj & 1) == 0) {
-            VSPEC_TF_ROUND_AVX2(16);
-            VSPEC_TF_ROUND_AVX2(42);
-            VSPEC_TF_ROUND_AVX2(12);
-            VSPEC_TF_ROUND_AVX2(31);
-        } else {
-            VSPEC_TF_ROUND_AVX2(16);
-            VSPEC_TF_ROUND_AVX2(32);
-            VSPEC_TF_ROUND_AVX2(24);
-            VSPEC_TF_ROUND_AVX2(21);
-        }
-        x0 = _mm256_add_epi64(
-            x0, _mm256_set1_epi64x(std::int64_t(ks[(inj + 1) % 3])));
-        x1 = _mm256_add_epi64(
-            x1, _mm256_set1_epi64x(std::int64_t(ks[(inj + 2) % 3] + inj + 1)));
-    }
-}
-
-#undef VSPEC_TF_ROUND_AVX2
-
-__attribute__((target("avx2"))) void
-threefryFillAvx2(std::uint64_t key0, std::uint64_t key1, std::uint64_t ctr0,
-                 std::size_t n_blocks, std::uint64_t *out)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n_blocks; i += 4) {
-        __m256i x0, x1;
-        threefryBlocks4Avx2(key0, key1, ctr0 + i, x0, x1);
-        // Interleave [a0 b0 c0 d0] / [a1 b1 c1 d1] into block order.
-        const __m256i lo = _mm256_unpacklo_epi64(x0, x1);
-        const __m256i hi = _mm256_unpackhi_epi64(x0, x1);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out + 2 * i),
-            _mm256_permute2x128_si256(lo, hi, 0x20));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out + 2 * i + 4),
-            _mm256_permute2x128_si256(lo, hi, 0x31));
-    }
-    for (; i < n_blocks; ++i)
-        CounterRng::block(key0, key1, ctr0 + i, 0, out + 2 * i);
-}
 
 /** Mirrors expCore lane-wise; same clamps, same operation order. */
 __attribute__((target("avx2"))) __m256d
@@ -335,60 +226,6 @@ normalCdfBatchAvx2(const double *z, std::size_t n, double *out)
         out[i] = phiWest(z[i]);
 }
 
-/** word >> 12 -> exact double via the 2^52 magic trick, then * 2^-52.
- *  Matches CounterRng::toUniform bit for bit (values < 2^52 convert
- *  exactly either way). */
-__attribute__((target("avx2"))) __m256d
-toUniformAvx2(__m256i words)
-{
-    const __m256i frac = _mm256_or_si256(_mm256_srli_epi64(words, 12),
-                                         _mm256_set1_epi64x(two52Bits));
-    const __m256d d = _mm256_sub_pd(_mm256_castsi256_pd(frac),
-                                    _mm256_set1_pd(two52));
-    return _mm256_mul_pd(d, _mm256_set1_pd(invTwo52));
-}
-
-__attribute__((target("avx2"))) int
-bernoulliBitsAvx2(const double *p, __m256d u)
-{
-    const __m256d pv = _mm256_loadu_pd(p);
-    const __m256d gt0 =
-        _mm256_cmp_pd(pv, _mm256_set1_pd(0.0), _CMP_GT_OQ);
-    const __m256d ge1 =
-        _mm256_cmp_pd(pv, _mm256_set1_pd(1.0), _CMP_GE_OQ);
-    const __m256d lt = _mm256_cmp_pd(u, pv, _CMP_LT_OQ);
-    return _mm256_movemask_pd(_mm256_and_pd(gt0, _mm256_or_pd(ge1, lt)));
-}
-
-__attribute__((target("avx2"))) std::size_t
-bernoulliMaskAvx2(const double *p, std::size_t n, std::uint64_t key0,
-                  std::uint64_t key1, std::uint64_t ctr0, std::uint8_t *mask)
-{
-    std::size_t count = 0;
-    std::size_t j = 0;
-    // Eight trials per iteration: four blocks -> eight stream words.
-    for (; j + 8 <= n; j += 8) {
-        __m256i x0, x1;
-        threefryBlocks4Avx2(key0, key1, ctr0 + j / 2, x0, x1);
-        const __m256i lo = _mm256_unpacklo_epi64(x0, x1);
-        const __m256i hi = _mm256_unpackhi_epi64(x0, x1);
-        const __m256i w03 = _mm256_permute2x128_si256(lo, hi, 0x20);
-        const __m256i w47 = _mm256_permute2x128_si256(lo, hi, 0x31);
-        const int bits = bernoulliBitsAvx2(p + j, toUniformAvx2(w03)) |
-                         (bernoulliBitsAvx2(p + j + 4, toUniformAvx2(w47))
-                          << 4);
-        for (int k = 0; k < 8; ++k)
-            mask[j + k] = std::uint8_t((bits >> k) & 1);
-        count += std::size_t(__builtin_popcount(unsigned(bits)));
-    }
-    for (; j < n; ++j) {
-        const bool hit = bernoulliTrial(p[j], key0, key1, ctr0, j);
-        mask[j] = hit ? 1 : 0;
-        count += hit ? 1 : 0;
-    }
-    return count;
-}
-
 #endif // __x86_64__ && !VSPEC_DISABLE_SIMD
 
 // ---------------------------------------------------------------------
@@ -397,56 +234,6 @@ bernoulliMaskAvx2(const double *p, std::size_t n, std::uint64_t key0,
 // ---------------------------------------------------------------------
 
 #if defined(__aarch64__) && !defined(VSPEC_DISABLE_SIMD)
-
-#define VSPEC_TF_ROUND_NEON(k)                                              \
-    do {                                                                    \
-        x0 = vaddq_u64(x0, x1);                                             \
-        x1 = vorrq_u64(vshlq_n_u64(x1, (k)), vshrq_n_u64(x1, 64 - (k)));    \
-        x1 = veorq_u64(x1, x0);                                             \
-    } while (0)
-
-/** Two Threefry-2x64-20 blocks, counters c0 and c0+1, second word 0. */
-void
-threefryBlocks2Neon(std::uint64_t key0, std::uint64_t key1,
-                    std::uint64_t c0, uint64x2_t &x0, uint64x2_t &x1)
-{
-    const std::uint64_t ks[3] = {key0, key1, tfKeyParity ^ key0 ^ key1};
-    const std::uint64_t ctrs[2] = {c0, c0 + 1};
-    x0 = vaddq_u64(vld1q_u64(ctrs), vdupq_n_u64(ks[0]));
-    x1 = vdupq_n_u64(ks[1]);
-    for (unsigned inj = 0; inj < 5; ++inj) {
-        if ((inj & 1) == 0) {
-            VSPEC_TF_ROUND_NEON(16);
-            VSPEC_TF_ROUND_NEON(42);
-            VSPEC_TF_ROUND_NEON(12);
-            VSPEC_TF_ROUND_NEON(31);
-        } else {
-            VSPEC_TF_ROUND_NEON(16);
-            VSPEC_TF_ROUND_NEON(32);
-            VSPEC_TF_ROUND_NEON(24);
-            VSPEC_TF_ROUND_NEON(21);
-        }
-        x0 = vaddq_u64(x0, vdupq_n_u64(ks[(inj + 1) % 3]));
-        x1 = vaddq_u64(x1, vdupq_n_u64(ks[(inj + 2) % 3] + inj + 1));
-    }
-}
-
-#undef VSPEC_TF_ROUND_NEON
-
-void
-threefryFillNeon(std::uint64_t key0, std::uint64_t key1, std::uint64_t ctr0,
-                 std::size_t n_blocks, std::uint64_t *out)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n_blocks; i += 2) {
-        uint64x2_t x0, x1;
-        threefryBlocks2Neon(key0, key1, ctr0 + i, x0, x1);
-        vst1q_u64(out + 2 * i, vzip1q_u64(x0, x1));
-        vst1q_u64(out + 2 * i + 2, vzip2q_u64(x0, x1));
-    }
-    for (; i < n_blocks; ++i)
-        CounterRng::block(key0, key1, ctr0 + i, 0, out + 2 * i);
-}
 
 float64x2_t
 expCoreNeon(float64x2_t x)
@@ -508,91 +295,34 @@ normalCdfBatchNeon(const double *z, std::size_t n, double *out)
         out[i] = phiWest(z[i]);
 }
 
-float64x2_t
-toUniformNeon(uint64x2_t words)
-{
-    const uint64x2_t frac = vorrq_u64(vshrq_n_u64(words, 12),
-                                      vdupq_n_u64(std::uint64_t(two52Bits)));
-    const float64x2_t d =
-        vsubq_f64(vreinterpretq_f64_u64(frac), vdupq_n_f64(two52));
-    return vmulq_f64(d, vdupq_n_f64(invTwo52));
-}
-
-uint64x2_t
-bernoulliLanesNeon(const double *p, float64x2_t u)
-{
-    const float64x2_t pv = vld1q_f64(p);
-    const uint64x2_t gt0 = vcgtq_f64(pv, vdupq_n_f64(0.0));
-    const uint64x2_t ge1 = vcgeq_f64(pv, vdupq_n_f64(1.0));
-    const uint64x2_t lt = vcltq_f64(u, pv);
-    return vandq_u64(gt0, vorrq_u64(ge1, lt));
-}
-
-std::size_t
-bernoulliMaskNeon(const double *p, std::size_t n, std::uint64_t key0,
-                  std::uint64_t key1, std::uint64_t ctr0, std::uint8_t *mask)
-{
-    std::size_t count = 0;
-    std::size_t j = 0;
-    // Four trials per iteration: two blocks -> four stream words.
-    for (; j + 4 <= n; j += 4) {
-        uint64x2_t x0, x1;
-        threefryBlocks2Neon(key0, key1, ctr0 + j / 2, x0, x1);
-        const uint64x2_t m01 =
-            bernoulliLanesNeon(p + j, toUniformNeon(vzip1q_u64(x0, x1)));
-        const uint64x2_t m23 =
-            bernoulliLanesNeon(p + j + 2, toUniformNeon(vzip2q_u64(x0, x1)));
-        mask[j] = vgetq_lane_u64(m01, 0) ? 1 : 0;
-        mask[j + 1] = vgetq_lane_u64(m01, 1) ? 1 : 0;
-        mask[j + 2] = vgetq_lane_u64(m23, 0) ? 1 : 0;
-        mask[j + 3] = vgetq_lane_u64(m23, 1) ? 1 : 0;
-        count += mask[j] + mask[j + 1] + mask[j + 2] + mask[j + 3];
-    }
-    for (; j < n; ++j) {
-        const bool hit = bernoulliTrial(p[j], key0, key1, ctr0, j);
-        mask[j] = hit ? 1 : 0;
-        count += hit ? 1 : 0;
-    }
-    return count;
-}
-
 #endif // __aarch64__ && !VSPEC_DISABLE_SIMD
 
 // ---------------------------------------------------------------------
 // Runtime dispatch.
 // ---------------------------------------------------------------------
 
-using FillFn = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                        std::size_t, std::uint64_t *);
 using CdfFn = void (*)(const double *, std::size_t, double *);
-using MaskFn = std::size_t (*)(const double *, std::size_t, std::uint64_t,
-                               std::uint64_t, std::uint64_t, std::uint8_t *);
 
 struct Backend
 {
     const char *name;
-    FillFn fill;
     CdfFn cdf;
-    MaskFn mask;
 };
 
 Backend
 selectBackend()
 {
 #if defined(VSPEC_DISABLE_SIMD)
-    return {"portable", threefryFillPortable, normalCdfBatchPortable,
-            bernoulliMaskPortable};
+    return {"portable", normalCdfBatchPortable};
 #else
 #if defined(__x86_64__)
     if (__builtin_cpu_supports("avx2"))
-        return {"avx2", threefryFillAvx2, normalCdfBatchAvx2,
-                bernoulliMaskAvx2};
+        return {"avx2", normalCdfBatchAvx2};
 #endif
 #if defined(__aarch64__)
-    return {"neon", threefryFillNeon, normalCdfBatchNeon, bernoulliMaskNeon};
+    return {"neon", normalCdfBatchNeon};
 #endif
-    return {"portable", threefryFillPortable, normalCdfBatchPortable,
-            bernoulliMaskPortable};
+    return {"portable", normalCdfBatchPortable};
 #endif
 }
 
@@ -612,46 +342,18 @@ backendName()
 }
 
 void
-threefryFill(std::uint64_t key0, std::uint64_t key1, std::uint64_t ctr0,
-             std::size_t n_blocks, std::uint64_t *out)
-{
-    backend().fill(key0, key1, ctr0, n_blocks, out);
-}
-
-void
 normalCdfBatch(const double *z, std::size_t n, double *out)
 {
     backend().cdf(z, n, out);
-}
-
-std::size_t
-bernoulliMask(const double *p, std::size_t n, std::uint64_t key0,
-              std::uint64_t key1, std::uint64_t ctr0, std::uint8_t *mask)
-{
-    return backend().mask(p, n, key0, key1, ctr0, mask);
 }
 
 namespace portable
 {
 
 void
-threefryFill(std::uint64_t key0, std::uint64_t key1, std::uint64_t ctr0,
-             std::size_t n_blocks, std::uint64_t *out)
-{
-    threefryFillPortable(key0, key1, ctr0, n_blocks, out);
-}
-
-void
 normalCdfBatch(const double *z, std::size_t n, double *out)
 {
     normalCdfBatchPortable(z, n, out);
-}
-
-std::size_t
-bernoulliMask(const double *p, std::size_t n, std::uint64_t key0,
-              std::uint64_t key1, std::uint64_t ctr0, std::uint8_t *mask)
-{
-    return bernoulliMaskPortable(p, n, key0, key1, ctr0, mask);
 }
 
 } // namespace portable

@@ -1,20 +1,13 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the sampling hot path.
+ * Runtime-dispatched SIMD kernel for the sampling hot path.
  *
- * Three kernels cover the vectorizable work of the fault model:
+ * One kernel covers the vectorizable work of the fault model:
+ * normalCdfBatch, the standard normal CDF over a batch of z-scores (the
+ * per-cell failure probability Phi((Vc - V) / sigma) is the single most
+ * expensive scalar operation in the chip-batched aggregate-rate folds).
  *
- *  - threefryFill: bulk CounterRng block generation (the counter-based
- *    stream has no carried state, so blocks evaluate in parallel);
- *  - normalCdfBatch: the standard normal CDF over a batch of z-scores
- *    (the per-cell failure probability Phi((Vc - V) / sigma) is the
- *    single most expensive scalar operation in probability-LUT fills
- *    and aggregate-rate folds);
- *  - bernoulliMask: survival Bernoulli draws over a probability vector,
- *    uniforms taken from the counter stream (weak-cell / weak-bit flip
- *    sampling in CacheArray, SramArray and MemArray reads).
- *
- * Backends: AVX2 (4x double / 4x u64, selected at runtime via cpuid),
+ * Backends: AVX2 (4x double, selected at runtime via cpuid),
  * NEON (2 lanes, aarch64 builds), and a portable scalar fallback. All
  * backends execute the identical IEEE-754 operation sequence per lane —
  * no FMA contraction, no libm (exp and Phi are our own fixed-order
@@ -23,7 +16,7 @@
  * across build hosts; a CI job builds with VSPEC_DISABLE_SIMD and diffs
  * bench output against the SIMD build to pin it.
  *
- * The portable implementations are exported under simd::portable so
+ * The portable implementation is exported under simd::portable so
  * tests can compare the dispatched path against the fallback directly.
  */
 
@@ -31,7 +24,6 @@
 #define VSPEC_COMMON_SIMD_HH
 
 #include <cstddef>
-#include <cstdint>
 
 namespace vspec
 {
@@ -43,15 +35,6 @@ namespace simd
 const char *backendName();
 
 /**
- * Fill @p out with 2 * n_blocks words of the Threefry-2x64-20 stream
- * keyed (key0, key1), counters ctr0 .. ctr0 + n_blocks - 1 (second
- * counter word fixed to zero, as CounterRng::block uses it).
- */
-void threefryFill(std::uint64_t key0, std::uint64_t key1,
-                  std::uint64_t ctr0, std::size_t n_blocks,
-                  std::uint64_t *out);
-
-/**
  * out[i] = Phi(z[i]), the standard normal CDF. West's (2004)
  * double-precision algorithm with a fixed-order exp: relative error
  * ~1e-15 in the bulk, loosening to ~1e-9 on tail probabilities below
@@ -61,29 +44,11 @@ void threefryFill(std::uint64_t key0, std::uint64_t key1,
  */
 void normalCdfBatch(const double *z, std::size_t n, double *out);
 
-/**
- * Survival Bernoulli draws: mask[i] = 1 iff a Bernoulli(p[i]) trial
- * succeeds, with trial i's uniform taken from word i of the counter
- * stream (key0, key1, ctr0 ...). The caller reserves the counter range
- * with CounterRng::reserveBlocks((n + 1) / 2). Returns the number of
- * successes. Matches CounterRng::bernoulli semantics: p <= 0 never
- * fires, p >= 1 always fires.
- */
-std::size_t bernoulliMask(const double *p, std::size_t n,
-                          std::uint64_t key0, std::uint64_t key1,
-                          std::uint64_t ctr0, std::uint8_t *mask);
-
-/** Scalar reference implementations (always available; used by the
+/** Scalar reference implementation (always available; used by the
  *  dispatcher as the fallback and by the byte-identity tests). */
 namespace portable
 {
-void threefryFill(std::uint64_t key0, std::uint64_t key1,
-                  std::uint64_t ctr0, std::size_t n_blocks,
-                  std::uint64_t *out);
 void normalCdfBatch(const double *z, std::size_t n, double *out);
-std::size_t bernoulliMask(const double *p, std::size_t n,
-                          std::uint64_t key0, std::uint64_t key1,
-                          std::uint64_t ctr0, std::uint8_t *mask);
 } // namespace portable
 
 } // namespace simd

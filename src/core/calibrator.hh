@@ -67,8 +67,8 @@ class Calibrator
         Millivolt confirmWindowMv = 0.0;
         /**
          * Sweep fidelity: exact reproduces the historical per-pattern
-         * draws; batched aggregates each line's epoch into one draw
-         * (see common/sampling.hh).
+         * draws; chipBatched aggregates each array's pass into one
+         * draw pair (see common/sampling.hh).
          */
         SamplingMode sampling = SamplingMode::exact;
     };

@@ -150,11 +150,12 @@ Core::sampleTraffic(CacheArray &array,
     // chipBatched cores ticked individually (e.g. when the chip's
     // domains straddle a bucket edge) demote to per-array batching.
     const bool batched = samplingMode != SamplingMode::exact;
-    // Batched mode: per-line Poisson rates superpose into one aggregate
-    // correctable rate (sum of independent Poissons is Poisson) and the
-    // per-line uncorrectable survival probabilities fold into one
-    // product, so the whole array costs two draws per tick instead of
-    // two per weak line. Per-line event-log attribution is skipped.
+    // Per-array batching: per-line Poisson rates superpose into one
+    // aggregate correctable rate (sum of independent Poissons is
+    // Poisson) and the per-line uncorrectable survival probabilities
+    // fold into one product, so the whole array costs two draws per
+    // tick instead of two per weak line. Per-line event-log attribution
+    // is skipped.
     double lambda_corr = 0.0;
     double lambda_uncorr = 0.0;
 

@@ -170,11 +170,13 @@ class Core
     void refreshWeakLines();
 
     /**
-     * Traffic-sampling fidelity (default exact). In batched mode each
-     * array's weak-line event draws for a tick collapse into one
-     * aggregate Poisson draw (correctables) and one survival-product
-     * Bernoulli (uncorrectables) at quantized voltage; per-line event
-     * log attribution is skipped. Normally set through
+     * Traffic-sampling fidelity (default exact). A chipBatched core
+     * ticked individually (the Simulator's per-array fallback when the
+     * chip's domains straddle a bucket edge) collapses each array's
+     * weak-line event draws for a tick into one aggregate Poisson draw
+     * (correctables) and one survival-product Bernoulli
+     * (uncorrectables) at quantized voltage; per-line event log
+     * attribution is skipped. Normally set through
      * Simulator::setSamplingMode.
      */
     void setSamplingMode(SamplingMode mode) { samplingMode = mode; }

@@ -135,9 +135,9 @@ struct FleetConfig
     Seconds jobPhaseSeconds = 1.0;
 
     /**
-     * Traffic/calibration sampling fidelity for every node. Batched
-     * mode aggregates each array's per-tick weak-line draws and each
-     * sweep line's per-pattern passes into single draws (see
+     * Traffic/calibration sampling fidelity for every node.
+     * Chip-batched mode aggregates each chip's per-tick weak-line draws
+     * and each sweep's per-line passes into single draws (see
      * common/sampling.hh) — same statistics, different RNG sequence,
      * so the default stays exact for byte-compatibility with existing
      * campaign outputs.

@@ -168,9 +168,8 @@ struct ScaleFleetConfig
     bool exactLatencyValidation = false;
 
     /**
-     * Hot-loop sampling granularity. exact (and batched, which has no
-     * finer structure to collapse at this scale) draws one Poisson
-     * pair per chip per slice. chipBatched pools the chips of a shard
+     * Hot-loop sampling granularity. exact draws one Poisson pair per
+     * chip per slice. chipBatched pools the chips of a shard
      * by quantized (rail - minSafe) margin each slice and draws ONE
      * pooled Poisson per event class per occupied bucket, thinning the
      * events to uniform member chips — the fleet-slice analogue of the

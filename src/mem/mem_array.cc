@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/counter_rng.hh"
-#include "common/simd.hh"
 #include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "snapshot/state_io.hh"
@@ -267,49 +265,6 @@ MemArray::readLine(unsigned bank, std::uint64_t line, Millivolt v,
         for (const MemWeakBit &bit : wl->bits) {
             if (rng.bernoulli(bitFailureProbability(bit, v, pattern)))
                 BchBlockCodec::flipPackedBit(cw, bit.bitOffset);
-        }
-    }
-    const double cliff = cliffProbability(v);
-    if (cliff > 0.0) {
-        const std::uint64_t flips =
-            rng.binomial(codewordBits(), cliff);
-        for (std::uint64_t f = 0; f < flips; ++f) {
-            BchBlockCodec::flipPackedBit(
-                cw, unsigned(rng.uniformInt(codewordBits())));
-        }
-    }
-    return bchLarge512().decode(cw);
-}
-
-BchBlockCodec::BlockDecodeResult
-MemArray::readLine(unsigned bank, std::uint64_t line, Millivolt v,
-                   unsigned pattern, CounterRng &rng)
-{
-    const auto it = resident.find({bank, line});
-    if (it == resident.end())
-        panic("readLine on non-resident line: bank ", bank, " line ",
-              line);
-
-    std::vector<std::uint64_t> cw = it->second;
-    if (const MemWeakLine *wl = findLine(bank, line)) {
-        // Per-weak-bit survival draws as SIMD lanes: one stream word
-        // per bit, counter range reserved so the scalar cliff draws
-        // below never collide with the lanes.
-        const std::size_t n = wl->bits.size();
-        if (n > 0) {
-            probScratch.resize(n);
-            for (std::size_t i = 0; i < n; ++i)
-                probScratch[i] =
-                    bitFailureProbability(wl->bits[i], v, pattern);
-            maskScratch.resize(n);
-            const std::uint64_t ctr0 = rng.reserveBlocks((n + 1) / 2);
-            simd::bernoulliMask(probScratch.data(), n, rng.key0(),
-                                rng.key1(), ctr0, maskScratch.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                if (maskScratch[i])
-                    BchBlockCodec::flipPackedBit(cw,
-                                                 wl->bits[i].bitOffset);
-            }
         }
     }
     const double cliff = cliffProbability(v);

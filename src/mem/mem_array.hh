@@ -56,7 +56,6 @@ namespace vspec
 
 class StateWriter;
 class StateReader;
-class CounterRng;
 
 enum class MemKind : std::uint8_t
 {
@@ -250,18 +249,6 @@ class MemArray
                                               unsigned pattern,
                                               Rng &rng);
 
-    /**
-     * Counter-stream flavor: the per-weak-bit survival draws run as
-     * SIMD Bernoulli lanes over a reserved counter range (the cliff
-     * draws stay scalar on the same stream). Same flip distribution
-     * and decode path as the Rng flavor; different draw sequence.
-     */
-    BchBlockCodec::BlockDecodeResult readLine(unsigned bank,
-                                              std::uint64_t line,
-                                              Millivolt v,
-                                              unsigned pattern,
-                                              CounterRng &rng);
-
     /** Flip one stored bit of a resident line (fault injection). */
     void flipStoredBit(unsigned bank, std::uint64_t line, unsigned bit);
 
@@ -354,10 +341,6 @@ class MemArray
     mutable std::uint64_t cacheGeneration = 0;
     mutable long long cacheVKey = 0;
     mutable AggregateRates cacheRates;
-
-    /** Scratch for the counter-stream readLine's Bernoulli lanes. */
-    mutable std::vector<double> probScratch;
-    mutable std::vector<std::uint8_t> maskScratch;
 };
 
 /** DRAM bank array: Voltron-calibrated defaults. */

@@ -366,7 +366,7 @@ Simulator::stepChipAggregate(Seconds t, Seconds dt,
     // One superposed Poisson draw for the whole chip's correctable
     // events, apportioned back to cores by largest remainder. Per-line
     // event-log attribution is unavailable at this granularity (as in
-    // batched mode, nothing is recorded in the event log).
+    // the per-array fallback, nothing is recorded in the event log).
     if (chip_corr > 0.0) {
         const std::uint64_t total = simRng.poisson(chip_corr);
         if (total > 0) {
@@ -529,11 +529,7 @@ Simulator::restore(StateReader &r)
         throw SnapshotError("tick size mismatch: snapshot has " +
                             std::to_string(snap_tick) +
                             ", simulator has " + std::to_string(tick_));
-    const std::uint8_t mode = r.getU8();
-    if (mode > std::uint8_t(SamplingMode::chipBatched))
-        throw SnapshotError("invalid sampling mode " +
-                            std::to_string(unsigned(mode)));
-    setSamplingMode(SamplingMode(mode));
+    setSamplingMode(samplingModeFromByte(r.getU8()));
     traceInterval = r.getDouble();
     sinceTraceSample = r.getDouble();
     traceWorkloadErrors = r.getU64();

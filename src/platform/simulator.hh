@@ -80,17 +80,16 @@ class Simulator
 
     /**
      * Switch every core's traffic-sampling fidelity (default exact).
-     * Batched mode draws one aggregate Poisson/Bernoulli pair per array
-     * per tick instead of one pair per weak line — same event-count
-     * distribution, different RNG draw sequence (see
-     * common/sampling.hh), so it is opt-in for sweep/fleet drivers that
-     * only consume aggregate statistics. Chip-batched mode goes one
-     * level further: on ticks where every domain's effective voltage
-     * falls in the same probability-LUT bucket, all cores' rates
-     * superpose into ONE whole-chip Poisson draw plus one survival
-     * draw, with events apportioned back to cores by largest remainder
-     * (ticks whose domains straddle a bucket edge demote to per-array
-     * batching automatically).
+     * Chip-batched mode: on ticks where every domain's effective
+     * voltage falls in the same probability-LUT bucket, all cores'
+     * rates superpose into ONE whole-chip Poisson draw plus one
+     * survival draw, with events apportioned back to cores by largest
+     * remainder. Ticks whose domains straddle a bucket edge demote
+     * automatically to per-array batching: one aggregate
+     * Poisson/Bernoulli pair per array per tick instead of one pair per
+     * weak line. Same event-count distribution, different RNG draw
+     * sequence (see common/sampling.hh), so it is opt-in for
+     * sweep/fleet drivers that only consume aggregate statistics.
      */
     void setSamplingMode(SamplingMode mode);
     SamplingMode samplingMode() const { return samplingMode_; }

@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/counter_rng.hh"
 #include "common/logging.hh"
 #include "common/mathutil.hh"
-#include "common/simd.hh"
 
 namespace vspec
 {
@@ -93,30 +91,6 @@ SramArray::sampleAccessFlipsInto(WeakCellSpan span, std::uint64_t base,
     for (const auto &cell : span) {
         if (rng.bernoulli(failureProbability(cell, v_eff)))
             out.push_back(cell.cellIndex - base);
-    }
-}
-
-void
-SramArray::sampleAccessFlipsInto(WeakCellSpan span, std::uint64_t base,
-                                 Millivolt v_eff, CounterRng &rng,
-                                 std::vector<std::uint64_t> &out) const
-{
-    out.clear();
-    const std::size_t n = span.size();
-    if (n == 0)
-        return;
-    probScratch.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        probScratch[i] = failureProbability(span[i], v_eff);
-    maskScratch.resize(n);
-    // One stream word per trial: reserve the counter range up front so
-    // subsequent scalar draws from rng never collide with the lanes.
-    const std::uint64_t ctr0 = rng.reserveBlocks((n + 1) / 2);
-    simd::bernoulliMask(probScratch.data(), n, rng.key0(), rng.key1(),
-                        ctr0, maskScratch.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (maskScratch[i])
-            out.push_back(span[i].cellIndex - base);
     }
 }
 

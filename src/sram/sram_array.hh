@@ -30,7 +30,6 @@ namespace vspec
 
 class StateWriter;
 class StateReader;
-class CounterRng;
 
 /**
  * Non-owning view over a contiguous run of materialized weak cells,
@@ -146,19 +145,6 @@ class SramArray
                                std::vector<std::uint64_t> &out) const;
 
     /**
-     * Counter-stream flavor: one Bernoulli per weak cell as above, but
-     * the trials run through the SIMD bernoulliMask kernel over a
-     * counter range reserved from @p rng (one stream word per cell).
-     * The flip *distribution* matches the scalar flavor; the draw
-     * sequence is the counter stream's, so the two flavors are not
-     * draw-for-draw interchangeable. Byte-identical across the AVX2,
-     * NEON and portable backends.
-     */
-    void sampleAccessFlipsInto(WeakCellSpan span, std::uint64_t base,
-                               Millivolt v_eff, CounterRng &rng,
-                               std::vector<std::uint64_t> &out) const;
-
-    /**
      * Shift every materialized cell's critical voltage by an
      * independent draw from N(mean_shift, sigma_shift) — the aging hook
      * (cells only degrade; negative draws are clamped to zero).
@@ -191,11 +177,6 @@ class SramArray
     /** Sorted by ascending cellIndex. */
     std::vector<WeakCell> cells;
     std::uint64_t generation_ = 0;
-
-    /** Scratch for the counter-stream flip sampler (no per-call
-     *  allocation): per-cell probabilities and the trial mask. */
-    mutable std::vector<double> probScratch;
-    mutable std::vector<std::uint8_t> maskScratch;
 };
 
 } // namespace vspec

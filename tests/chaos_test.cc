@@ -137,7 +137,7 @@ TEST_P(ChaosCampaign, RandomKillTicksAllReplayToTheSameEndState)
 
 INSTANTIATE_TEST_SUITE_P(SamplingModes, ChaosCampaign,
                          ::testing::Values(SamplingMode::exact,
-                                           SamplingMode::batched));
+                                           SamplingMode::chipBatched));
 
 TEST(ChaosFleet, RandomKillSliceReplaysToTheSameEndState)
 {

@@ -1,18 +1,21 @@
 /**
  * @file
  * Tests for the common substrate: RNG determinism and distribution
- * moments, the normal CDF/quantile pair, and the statistics
- * accumulators.
+ * moments, the normal CDF/quantile pair, the statistics accumulators,
+ * and byte-identity of the runtime-dispatched normalCdfBatch SIMD
+ * backend against the portable scalar reference.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/mathutil.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "common/stats.hh"
 
 namespace vspec
@@ -400,6 +403,41 @@ TEST(Stats, HistogramQuantileMatchesSortedSampleReference)
             expected = samples[rank];
         }
         EXPECT_EQ(h.quantile(q), expected) << "q = " << q;
+    }
+}
+
+TEST(SimdKernels, NormalCdfBatchByteIdenticalToPortable)
+{
+    // Dense grid through the bulk plus hand-picked tail/edge points.
+    std::vector<double> z;
+    for (double x = -10.0; x <= 10.0; x += 0.0625)
+        z.push_back(x);
+    for (const double x : {-40.0, -37.5, -12.0, -8.5, 8.5, 12.0, 40.0,
+                           0.0, 1e-12, -1e-12})
+        z.push_back(x);
+
+    std::vector<double> dispatched(z.size()), portable(z.size());
+    simd::normalCdfBatch(z.data(), z.size(), dispatched.data());
+    simd::portable::normalCdfBatch(z.data(), z.size(), portable.data());
+    for (std::size_t i = 0; i < z.size(); ++i) {
+        // Byte identity, not just numeric closeness.
+        ASSERT_EQ(std::memcmp(&dispatched[i], &portable[i],
+                              sizeof(double)),
+                  0)
+            << "z = " << z[i] << " backend " << simd::backendName();
+    }
+}
+
+TEST(SimdKernels, NormalCdfBatchAccurateAgainstLibm)
+{
+    std::vector<double> z;
+    for (double x = -8.0; x <= 8.0; x += 0.03125)
+        z.push_back(x);
+    std::vector<double> got(z.size());
+    simd::normalCdfBatch(z.data(), z.size(), got.data());
+    for (std::size_t i = 0; i < z.size(); ++i) {
+        const double ref = math::normalCdf(z[i]);
+        ASSERT_NEAR(got[i], ref, 1e-13 + 1e-9 * ref) << "z = " << z[i];
     }
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the fault-sampling hot path: weak-cell span views, the
  * per-line probability LUT (exactness, quantization error bound, aging
- * invalidation), the bounded encode cache, and the batched epoch
+ * invalidation), the bounded encode cache, and the chip-batched
  * sampling mode's statistical equivalence to the exact path.
  */
 
@@ -301,58 +301,6 @@ TEST(EncodeCache, HammerWithDistinctWordsStaysCorrect)
     EXPECT_GT(line_writes * words, std::uint64_t(1) << 16);
 }
 
-TEST_F(HotPathTest, BatchedSweepIsStatisticallyEquivalent)
-{
-    ASSERT_FALSE(weakLines.empty());
-    // On-grid voltage: batched evaluates the same probabilities as
-    // exact, so the event totals differ only by sampling noise.
-    const Millivolt v = std::round((weakLines.front().weakestVc - 1.0) /
-                                   CacheArray::probQuantMv) *
-                        CacheArray::probQuantMv;
-
-    constexpr unsigned reps = 30;
-    constexpr std::uint64_t reads = 500;
-    Rng rng_exact(101), rng_batched(101);
-    std::uint64_t exact_total = 0, batched_total = 0;
-    bool exact_unc = false, batched_unc = false;
-    for (unsigned r = 0; r < reps; ++r) {
-        const SweepResult e = sweep::dataSweep(array, v, reads, rng_exact);
-        exact_total += e.totalCorrectable;
-        exact_unc = exact_unc || e.uncorrectable;
-        const SweepResult b = sweep::dataSweep(
-            array, v, reads, rng_batched, SamplingMode::batched);
-        batched_total += b.totalCorrectable;
-        batched_unc = batched_unc || b.uncorrectable;
-    }
-
-    ASSERT_GT(exact_total, 0u);
-    ASSERT_GT(batched_total, 0u);
-    const double mean = 0.5 * double(exact_total + batched_total);
-    // Event counts are Poisson-scale; 6 sigma of the combined noise.
-    const double tolerance = 6.0 * std::sqrt(2.0 * mean);
-    EXPECT_NEAR(double(exact_total), double(batched_total), tolerance);
-}
-
-TEST_F(HotPathTest, VectorizedProbeTracksLutPath)
-{
-    ASSERT_FALSE(weakLines.empty());
-    // The vectorized fold goes through West's Phi instead of libm
-    // erfc: not byte-identical to the LUT path, but the absolute
-    // error per cell is ~1e-15, so the folded line probabilities must
-    // agree far tighter than any sampling consumer can resolve.
-    for (const WeakLineInfo &line : weakLines) {
-        for (double dv = -10.0; dv <= 10.0; dv += 1.37) {
-            const Millivolt v = line.weakestVc + dv;
-            double pc = 0.0, pu = 0.0, vc = 0.0, vu = 0.0;
-            array.lineEventProbabilities(line.set, line.way, v, pc, pu);
-            array.lineEventProbabilitiesVec(line.set, line.way, v, vc,
-                                            vu);
-            EXPECT_NEAR(vc, pc, 1e-9);
-            EXPECT_NEAR(vu, pu, 1e-9);
-        }
-    }
-}
-
 TEST_F(HotPathTest, AggregateRatesMatchPerLineQuantizedSum)
 {
     ASSERT_FALSE(weakLines.empty());
@@ -429,7 +377,7 @@ TEST_F(HotPathTest, ChipBatchedSweepIsStatisticallyEquivalent)
     EXPECT_NEAR(double(exact_total), double(chip_total), tolerance);
 }
 
-TEST(BatchedCore, TickRatesMatchExactTickExpectation)
+TEST(ChipBatchedCore, TickRatesMatchExactTickExpectation)
 {
     VariationModel variation(42);
     Rng build_rng(1);
@@ -515,7 +463,7 @@ TEST(ChipBatchedSimulator, EventTotalsStatisticallyMatchExact)
     EXPECT_NEAR(double(exact_total), double(chip_total), tolerance);
 }
 
-TEST(BatchedCore, TrafficStatisticallyEquivalentToExact)
+TEST(ChipBatchedCore, TrafficStatisticallyEquivalentToExact)
 {
     VariationModel variation(42);
     Rng build_rng(1);
@@ -542,20 +490,22 @@ TEST(BatchedCore, TrafficStatisticallyEquivalentToExact)
         core.clearCrash();
     }
 
-    core.setSamplingMode(SamplingMode::batched);
-    Rng draw_batched(29);
-    std::uint64_t batched_total = 0;
+    // A chip-batched core ticked on its own takes the per-array
+    // aggregate path the Simulator demotes to when domains straddle a
+    // bucket edge.
+    core.setSamplingMode(SamplingMode::chipBatched);
+    Rng draw_chip(29);
+    std::uint64_t chip_total = 0;
     for (int i = 0; i < ticks; ++i) {
-        batched_total +=
-            core.tick(i * dt, dt, v, draw_batched).correctableEvents;
+        chip_total += core.tick(i * dt, dt, v, draw_chip).correctableEvents;
         core.clearCrash();
     }
 
     ASSERT_GT(exact_total, 0u);
-    ASSERT_GT(batched_total, 0u);
-    const double mean = 0.5 * double(exact_total + batched_total);
+    ASSERT_GT(chip_total, 0u);
+    const double mean = 0.5 * double(exact_total + chip_total);
     const double tolerance = 6.0 * std::sqrt(2.0 * mean);
-    EXPECT_NEAR(double(exact_total), double(batched_total), tolerance);
+    EXPECT_NEAR(double(exact_total), double(chip_total), tolerance);
 }
 
 } // namespace

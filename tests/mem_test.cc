@@ -521,7 +521,7 @@ TEST_P(MemSnapshotReplay, MixedDomainRestoreMatchesUninterrupted)
 
 INSTANTIATE_TEST_SUITE_P(SamplingModes, MemSnapshotReplay,
                          ::testing::Values(SamplingMode::exact,
-                                           SamplingMode::batched));
+                                           SamplingMode::chipBatched));
 
 TEST(MemSnapshot, DomainCountMismatchIsRefused)
 {

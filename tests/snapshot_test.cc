@@ -11,12 +11,14 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "cache/cache_array.hh"
 #include "cache/geometry.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/sampling.hh"
 #include "fleet/fleet.hh"
 #include "platform/chip.hh"
 #include "platform/experiment_pool.hh"
@@ -402,7 +404,7 @@ TEST_P(SimulatorReplay, SnapshotAtEveryPhaseBoundaryStillReplays)
 
 INSTANTIATE_TEST_SUITE_P(SamplingModes, SimulatorReplay,
                          ::testing::Values(SamplingMode::exact,
-                                           SamplingMode::batched));
+                                           SamplingMode::chipBatched));
 
 TEST(SimulatorSnapshot, RestoreVerifiesTickSize)
 {
@@ -448,6 +450,73 @@ TEST(SimulatorSnapshot, CorruptedSimStateIsRejectedNotReplayed)
     auto bytes = simState(*a.sim);
     bytes[bytes.size() / 2] ^= 0x40;
     EXPECT_THROW(StateReader reader(std::move(bytes)), SnapshotError);
+}
+
+/** The SnapshotError message samplingModeFromByte raises for @p byte
+ *  (empty if the byte decodes). */
+std::string
+samplingRefusal(std::uint8_t byte)
+{
+    try {
+        (void)samplingModeFromByte(byte);
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SamplingModeDecode, AcceptsLiveModesAndNamesEveryRefusedValue)
+{
+    EXPECT_EQ(samplingModeFromByte(0), SamplingMode::exact);
+    EXPECT_EQ(samplingModeFromByte(2), SamplingMode::chipBatched);
+    EXPECT_NE(samplingRefusal(1).find("sampling mode 1 (batched) was "
+                                      "retired"),
+              std::string::npos)
+        << samplingRefusal(1);
+    EXPECT_NE(samplingRefusal(3).find("invalid sampling mode 3"),
+              std::string::npos)
+        << samplingRefusal(3);
+    EXPECT_NE(samplingRefusal(255).find("invalid sampling mode 255"),
+              std::string::npos)
+        << samplingRefusal(255);
+}
+
+TEST(SimulatorSnapshot, RetiredBatchedModeByteIsRefused)
+{
+    CampaignSim a = buildCampaign(SamplingMode::exact);
+    a.sim->runTicks(20);
+    auto bytes = simState(*a.sim);
+
+    // The "sim" section comes first: [magic 8][version 4][count 4]
+    // [name length 4]["sim"][payload length 8][CRC 4][payload], and the
+    // payload opens with two tagged doubles (time, tick) and then the
+    // tagged sampling-mode byte. Rewrite that byte to the retired
+    // batched value and re-seal the CRC, so only the value is hostile.
+    const std::size_t len_at = 16 + 4 + 3;
+    const std::size_t crc_at = len_at + 8;
+    const std::size_t payload_at = crc_at + 4;
+    const std::size_t mode_at = payload_at + 2 * (1 + 8) + 1;
+    ASSERT_EQ(std::string(bytes.begin() + 20, bytes.begin() + len_at),
+              "sim");
+    ASSERT_EQ(bytes[mode_at - 1], '1');  // u8 type tag
+    ASSERT_EQ(bytes[mode_at], std::uint8_t(SamplingMode::exact));
+    bytes[mode_at] = 1;
+    std::uint64_t payload_len = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        payload_len |= std::uint64_t(bytes[len_at + i]) << (8 * i);
+    const std::uint32_t crc = crc32(bytes.data() + payload_at, payload_len);
+    for (unsigned i = 0; i < 4; ++i)
+        bytes[crc_at + i] = std::uint8_t(crc >> (8 * i));
+
+    CampaignSim b = buildCampaign(SamplingMode::exact);
+    StateReader r(std::move(bytes));
+    try {
+        b.sim->restore(r);
+        FAIL() << "a batched-mode snapshot was restored";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("retired"), std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -504,10 +573,10 @@ TEST(FleetSnapshot, RestorePlusNSlicesMatchesUninterruptedRun)
     EXPECT_EQ(fleetState(revived), want);
 }
 
-TEST(FleetSnapshot, BatchedSamplingReplaysToo)
+TEST(FleetSnapshot, ChipBatchedSamplingReplaysToo)
 {
     FleetConfig cfg = replayFleetConfig();
-    cfg.sampling = SamplingMode::batched;
+    cfg.sampling = SamplingMode::chipBatched;
     ExperimentPool pool(2);
 
     Fleet ref(cfg);
