@@ -161,12 +161,6 @@ FleetNode::busyCores() const
     return count;
 }
 
-bool
-FleetNode::coreBusy(unsigned core) const
-{
-    return bool(slots.at(core).job);
-}
-
 double
 FleetNode::riskScore(unsigned core) const
 {
@@ -275,16 +269,28 @@ FleetNode::advance(Seconds slice)
 }
 
 void
-FleetNode::enterQuarantine()
+FleetNode::advanceHealth(Seconds slice, std::uint64_t slice_recoveries)
 {
+    const HealthConfig &hc = cfg->health;
+    const ChipHealth state = health_;
+    const HealthEdge edge =
+        hc.step(health_, recoveryWindow_, healthTimer_, slice_recoveries,
+                slice, std::exp(-slice / hc.windowTau));
+    if (!healthSchedulable(state))
+        offlineTime_ += double(chip_->numCores()) * slice;
+    if (edge == HealthEdge::readmit)
+        ++readmissions_;
+    if (edge != HealthEdge::quarantine)
+        return;
+
+    // Drain: hand every resident job back through the existing requeue
+    // path (arrival time and accrued energy preserved), so the fleet
+    // re-places it on healthy capacity next slice.
     const Seconds now = sim->now();
     for (unsigned c = 0; c < chip_->numCores(); ++c) {
         CoreSlot &slot = slots[c];
         if (!slot.job)
             continue;
-        // Drain: hand every resident job back through the existing
-        // requeue path (arrival time and accrued energy preserved), so
-        // the fleet re-places it on healthy capacity next slice.
         slot.job->accruedEnergy +=
             sim->coreEnergy(c).energy() - slot.energyMark;
         drainedWork_ += slot.remaining;
@@ -294,65 +300,7 @@ FleetNode::enterQuarantine()
         chip_->core(c).setWorkload(std::make_shared<IdleWorkload>(),
                                    now);
     }
-    health_ = std::uint8_t(ChipHealth::quarantined);
-    healthTimer_ = cfg->health.quarantineHold;
     ++quarantines_;
-}
-
-void
-FleetNode::advanceHealth(Seconds slice, std::uint64_t slice_recoveries)
-{
-    const HealthConfig &hc = cfg->health;
-    const double decay = std::exp(-slice / hc.windowTau);
-    recoveryWindow_ = recoveryWindow_ * decay +
-                      (1.0 - decay) * (double(slice_recoveries) / slice);
-
-    switch (ChipHealth(health_)) {
-      case ChipHealth::quarantined:
-        offlineTime_ += double(chip_->numCores()) * slice;
-        healthTimer_ -= slice;
-        if (healthTimer_ <= 0.0) {
-            health_ = std::uint8_t(ChipHealth::selfTesting);
-            healthTimer_ = hc.selfTestDuration;
-        }
-        break;
-      case ChipHealth::selfTesting:
-        offlineTime_ += double(chip_->numCores()) * slice;
-        healthTimer_ -= slice;
-        if (healthTimer_ <= 0.0) {
-            if (recoveryWindow_ >= hc.degradeRate) {
-                // Still noisy: run the self-test again.
-                healthTimer_ = hc.selfTestDuration;
-            } else {
-                health_ = std::uint8_t(ChipHealth::probation);
-                healthTimer_ = hc.probationDuration;
-                ++readmissions_;
-            }
-        }
-        break;
-      case ChipHealth::probation:
-        if (slice_recoveries > 0) {
-            // Any recovery during probation sends the chip straight
-            // back to quarantine.
-            enterQuarantine();
-            break;
-        }
-        healthTimer_ -= slice;
-        if (healthTimer_ <= 0.0)
-            health_ = std::uint8_t(ChipHealth::healthy);
-        break;
-      case ChipHealth::healthy:
-      case ChipHealth::degraded:
-        if (recoveryWindow_ >= hc.quarantineRate) {
-            enterQuarantine();
-        } else if (ChipHealth(health_) == ChipHealth::degraded &&
-                   recoveryWindow_ < hc.healthyRate) {
-            health_ = std::uint8_t(ChipHealth::healthy);
-        } else if (recoveryWindow_ >= hc.degradeRate) {
-            health_ = std::uint8_t(ChipHealth::degraded);
-        }
-        break;
-    }
 }
 
 std::vector<Job>
@@ -415,17 +363,12 @@ Fleet::Fleet(const FleetConfig &config)
         fatal("Fleet needs at least one chip");
     if (cfg.slice <= 0.0 || cfg.tick <= 0.0 || cfg.slice < cfg.tick)
         fatal("Fleet needs 0 < tick <= slice");
+    cfg.health.validate();
     if (cfg.chaos.armed()) {
         chaos_ = std::make_unique<FleetFaultInjector>(
             cfg.chaos, cfg.seed, cfg.numChips);
         thermalHot_.assign(cfg.numChips, false);
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const unsigned domains =
-                chaos_->numDomains(FailureDomainKind(kk));
-            domainRecoveries_[kk].assign(domains, 0);
-            domainQuarantines_[kk].assign(domains, 0);
-            domainOffline_[kk].assign(domains, 0.0);
-        }
+        ledger_.cover(*chaos_, 0, cfg.numChips);
         seenRecoveries_.assign(cfg.numChips, 0);
         seenQuarantines_.assign(cfg.numChips, 0);
     }
@@ -552,17 +495,7 @@ Fleet::creditDomains()
             node.offline()
                 ? double(node.chip().numCores()) * cfg.slice
                 : 0.0;
-        if (rec_delta == 0 && q_delta == 0 && offline == 0.0)
-            continue;
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const auto kind = FailureDomainKind(kk);
-            if (!chaos_->eventActive(kind, i))
-                continue;
-            const unsigned d = chaos_->domainOf(kind, i);
-            domainRecoveries_[kk][d] += rec_delta;
-            domainQuarantines_[kk][d] += q_delta;
-            domainOffline_[kk][d] += offline;
-        }
+        ledger_.credit(*chaos_, i, rec_delta, q_delta, offline);
     }
 }
 
@@ -715,34 +648,115 @@ Fleet::report() const
         rep.energyPerJob = merged.jobEnergy() / double(rep.completed);
     }
 
-    // Blast-radius attribution rows, one per domain with any action.
-    if (chaos_) {
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const auto kind = FailureDomainKind(kk);
-            const unsigned domains = chaos_->numDomains(kind);
-            if (domains == 0)
-                continue;
-            const std::vector<std::uint64_t> &events =
-                chaos_->domainEvents(kind);
-            for (unsigned d = 0; d < domains; ++d) {
-                if (events[d] == 0 && domainRecoveries_[kk][d] == 0 &&
-                    domainQuarantines_[kk][d] == 0 &&
-                    domainOffline_[kk][d] == 0.0)
-                    continue;
-                FleetReport::DomainImpact row;
-                row.kind = kind;
-                row.domain = d;
-                row.events = events[d];
-                row.dues = domainRecoveries_[kk][d];
-                row.quarantines = domainQuarantines_[kk][d];
-                row.offlineCoreSeconds = domainOffline_[kk][d];
-                rep.domainImpact.push_back(row);
-            }
-        }
-    }
+    // Blast-radius attribution rows; the cold path credits no SLA
+    // misses to domains.
+    if (chaos_)
+        ledger_.appendRows(*chaos_, nullptr, rep.domainImpact);
     return rep;
 }
 
+void
+DomainLedger::cover(const FleetFaultInjector &chaos, unsigned chip_lo,
+                    unsigned chip_hi)
+{
+    for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
+        const auto kind = FailureDomainKind(kk);
+        Span &span = spans[kk];
+        if (chaos.domainSize(kind) == 0)
+            continue;
+        span.base = chaos.domainOf(kind, chip_lo);
+        const unsigned count =
+            chaos.domainOf(kind, chip_hi - 1) - span.base + 1;
+        span.dues.assign(count, 0);
+        span.quarantines.assign(count, 0);
+        span.offline.assign(count, 0.0);
+    }
+}
+
+void
+DomainLedger::credit(const FleetFaultInjector &chaos, unsigned chip,
+                     std::uint64_t dues, std::uint64_t quarantines,
+                     Seconds offline)
+{
+    chaos.forEachActiveDomain(
+        chip, [&](FailureDomainKind kind, unsigned domain) {
+            Span &span = spans[std::size_t(kind)];
+            const unsigned d = domain - span.base;
+            span.dues[d] += dues;
+            span.quarantines[d] += quarantines;
+            span.offline[d] += offline;
+        });
+}
+
+void
+DomainLedger::fold(const DomainLedger &part)
+{
+    for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
+        Span &into = spans[kk];
+        const Span &from = part.spans[kk];
+        const unsigned at = from.base - into.base;
+        for (std::size_t d = 0; d < from.dues.size(); ++d) {
+            into.dues[at + d] += from.dues[d];
+            into.quarantines[at + d] += from.quarantines[d];
+            into.offline[at + d] += from.offline[d];
+        }
+    }
+}
+
+void
+DomainLedger::appendRows(const FleetFaultInjector &chaos,
+                         const Misses *misses,
+                         std::vector<FleetReport::DomainImpact> &out) const
+{
+    for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
+        const auto kind = FailureDomainKind(kk);
+        const Span &span = spans[kk];
+        const std::vector<std::uint64_t> &events = chaos.domainEvents(kind);
+        for (std::size_t d = 0; d < span.dues.size(); ++d) {
+            const unsigned domain = span.base + unsigned(d);
+            const std::uint64_t missed =
+                misses ? (*misses)[kk][domain] : 0;
+            if (events[domain] == 0 && span.dues[d] == 0 &&
+                span.quarantines[d] == 0 && missed == 0 &&
+                span.offline[d] == 0.0)
+                continue;
+            FleetReport::DomainImpact row;
+            row.kind = kind;
+            row.domain = domain;
+            row.events = events[domain];
+            row.dues = span.dues[d];
+            row.quarantines = span.quarantines[d];
+            row.slaMisses = missed;
+            row.offlineCoreSeconds = span.offline[d];
+            out.push_back(row);
+        }
+    }
+}
+
+void
+DomainLedger::saveState(StateWriter &w) const
+{
+    for (const Span &span : spans) {
+        w.putU64Vector(span.dues);
+        w.putU64Vector(span.quarantines);
+        w.putDoubleVector(span.offline);
+    }
+}
+
+void
+DomainLedger::loadState(StateReader &r)
+{
+    const auto load = [](auto &into, auto loaded) {
+        if (loaded.size() != into.size())
+            throw SnapshotError("blast-radius domain count mismatch");
+        into = std::move(loaded);
+    };
+    for (Span &span : spans) {
+        load(span.dues, r.getU64Vector());
+        load(span.quarantines, r.getU64Vector());
+        load(span.offline, r.getDoubleVector());
+    }
+}
 
 void
 FleetNode::saveState(StateWriter &w) const
@@ -770,7 +784,7 @@ FleetNode::saveState(StateWriter &w) const
     w.putDouble(powerMark.elapsed);
 
     // Format v4: the node's health FSM.
-    w.putU64(health_);
+    w.putU64(std::uint64_t(health_));
     w.putDouble(recoveryWindow_);
     w.putDouble(healthTimer_);
     w.putU64(quarantines_);
@@ -830,7 +844,7 @@ FleetNode::loadState(StateReader &r)
     const std::uint64_t health = r.getU64();
     if (health > std::uint64_t(ChipHealth::probation))
         throw SnapshotError("invalid chip health state in snapshot");
-    health_ = std::uint8_t(health);
+    health_ = ChipHealth(health);
     recoveryWindow_ = r.getDouble();
     healthTimer_ = r.getDouble();
     quarantines_ = r.getU64();
@@ -863,18 +877,13 @@ Fleet::snapshot(StateWriter &w) const
 
     // Format v4: the correlated-event injector and the fleet-level
     // blast-radius attribution.
-    w.putBool(chaos_ != nullptr);
+    saveFleetChaos(w, chaos_.get());
     if (chaos_) {
-        chaos_->saveState(w);
         std::vector<std::uint64_t> hot(thermalHot_.size());
         for (std::size_t i = 0; i < thermalHot_.size(); ++i)
             hot[i] = thermalHot_[i] ? 1 : 0;
         w.putU64Vector(hot);
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            w.putU64Vector(domainRecoveries_[kk]);
-            w.putU64Vector(domainQuarantines_[kk]);
-            w.putDoubleVector(domainOffline_[kk]);
-        }
+        ledger_.saveState(w);
         w.putU64Vector(seenRecoveries_);
         w.putU64Vector(seenQuarantines_);
     }
@@ -908,31 +917,14 @@ Fleet::restore(StateReader &r, ExperimentPool &pool)
     for (std::uint64_t i = 0; i < n_pending; ++i)
         pending.push_back(loadJob(r));
 
-    const bool had_chaos = r.getBool();
-    if (had_chaos != (chaos_ != nullptr))
-        throw SnapshotError(
-            "fleet chaos armament mismatch (snapshot was taken with a "
-            "different correlated-event configuration)");
+    loadFleetChaos(r, chaos_.get());
     if (chaos_) {
-        chaos_->loadState(r);
         const std::vector<std::uint64_t> hot = r.getU64Vector();
         if (hot.size() != thermalHot_.size())
             throw SnapshotError("fleet thermal flag count mismatch");
         for (std::size_t i = 0; i < hot.size(); ++i)
             thermalHot_[i] = hot[i] != 0;
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const std::vector<std::uint64_t> recs = r.getU64Vector();
-            const std::vector<std::uint64_t> quars = r.getU64Vector();
-            const std::vector<double> off = r.getDoubleVector();
-            if (recs.size() != domainRecoveries_[kk].size() ||
-                quars.size() != domainQuarantines_[kk].size() ||
-                off.size() != domainOffline_[kk].size())
-                throw SnapshotError(
-                    "fleet blast-radius domain count mismatch");
-            domainRecoveries_[kk] = recs;
-            domainQuarantines_[kk] = quars;
-            domainOffline_[kk] = off;
-        }
+        ledger_.loadState(r);
         const std::vector<std::uint64_t> seen_r = r.getU64Vector();
         const std::vector<std::uint64_t> seen_q = r.getU64Vector();
         if (seen_r.size() != seenRecoveries_.size() ||

@@ -21,6 +21,14 @@
  *     slice's completions, requeues and risk updates are folded in
  *     node order.
  *
+ * Robustness rides on the same loop. With health enabled, each node
+ * steps the FSM both fleets share (HealthConfig::step, fed the slice's
+ * recoveries) at the end of advance() and drains its jobs on a
+ * quarantine edge. With chaos armed, the serial phase fans correlated
+ * events out to member chips before placement and, after the merge,
+ * credits the fleet's DomainLedger (the blast-radius ledger both
+ * fleets use) from per-node deltas.
+ *
  * All cross-node decisions (arrivals, placement, capping, merges) run
  * serially between slices, and each chip's stochastic state comes from
  * its own seed, mix64(fleet seed, chip index) — so a fleet run is
@@ -183,7 +191,6 @@ class FleetNode
     /** Cores the scheduler may ever use (not abandoned). */
     unsigned schedulableCores() const;
     unsigned busyCores() const;
-    bool coreBusy(unsigned core) const;
     double riskScore(unsigned core) const;
     /** Safe undervolt headroom the control loop has earned (mV). */
     Millivolt headroom(unsigned core) const;
@@ -207,11 +214,9 @@ class FleetNode
     std::vector<Job> takeRequeued();
 
     /** Health FSM state (healthy unless FleetConfig::health.enabled). */
-    ChipHealth health() const { return ChipHealth(health_); }
+    ChipHealth health() const { return health_; }
     /** True while the node takes no placements (health FSM). */
-    bool offline() const { return !healthSchedulable(health()); }
-    /** Windowed recovery-rate estimate driving the health FSM (1/s). */
-    double recoveryWindowRate() const { return recoveryWindow_; }
+    bool offline() const { return !healthSchedulable(health_); }
     std::uint64_t quarantines() const { return quarantines_; }
     std::uint64_t readmissions() const { return readmissions_; }
     /** Core-seconds this node has spent quarantined/self-testing. */
@@ -295,7 +300,7 @@ class FleetNode
 
     /** Health FSM: state, windowed recovery-rate EWMA and the phase
      *  timer, advanced node-locally at the end of each advance(). */
-    std::uint8_t health_ = 0;
+    ChipHealth health_ = ChipHealth::healthy;
     double recoveryWindow_ = 0.0;
     Seconds healthTimer_ = 0.0;
     std::uint64_t quarantines_ = 0;
@@ -303,10 +308,8 @@ class FleetNode
     Seconds offlineTime_ = 0.0;
     Seconds drainedWork_ = 0.0;
 
-    /** Quarantine entry: drain resident jobs into the requeue buffer
-     *  and start the hold timer. */
-    void enterQuarantine();
-    /** One health-FSM step, fed this slice's recovery count. */
+    /** One health-FSM step fed this slice's recovery count; a
+     *  quarantine drains resident jobs into the requeue buffer. */
     void advanceHealth(Seconds slice, std::uint64_t slice_recoveries);
 
     /**
@@ -389,6 +392,55 @@ struct FleetReport
     std::vector<DomainImpact> domainImpact;
 };
 
+/**
+ * Blast-radius attribution over a contiguous chip range: per failure-
+ * domain kind, the DUEs (recoveries on the cold path), quarantines and
+ * offline core-seconds credited while the domain's event was active.
+ * Chips are consecutive, so a range's domains of each kind are a
+ * contiguous id range too; the ledger holds just that range. The cold
+ * Fleet keeps one ledger over the whole fleet, the hot ShardedFleet
+ * one per shard, folded in shard order at report time.
+ */
+class DomainLedger
+{
+  public:
+    using Misses = std::array<std::vector<std::uint64_t>,
+                              kNumFailureDomainKinds>;
+
+    /** Size the ledger to the domains of chips [chip_lo, chip_hi). */
+    void cover(const FleetFaultInjector &chaos, unsigned chip_lo,
+               unsigned chip_hi);
+    /** Credit every kind with an active event over @p chip (a chip of
+     *  the covered range). */
+    void credit(const FleetFaultInjector &chaos, unsigned chip,
+                std::uint64_t dues, std::uint64_t quarantines,
+                Seconds offline);
+    /** Add @p part's rows into this ledger, which covers it. */
+    void fold(const DomainLedger &part);
+    /**
+     * Append one DomainImpact row per domain with any action, in kind
+     * then domain order. @p misses (fleet-wide domain ids) supplies the
+     * SLA misses; null credits none.
+     */
+    void appendRows(const FleetFaultInjector &chaos, const Misses *misses,
+                    std::vector<FleetReport::DomainImpact> &out) const;
+
+    /** Per kind: dues, quarantines, then offline core-seconds. */
+    void saveState(StateWriter &w) const;
+    void loadState(StateReader &r);
+
+  private:
+    struct Span
+    {
+        /** Fleet-wide id of the first covered domain. */
+        unsigned base = 0;
+        std::vector<std::uint64_t> dues;
+        std::vector<std::uint64_t> quarantines;
+        std::vector<double> offline;
+    };
+    std::array<Span, kNumFailureDomainKinds> spans;
+};
+
 class Fleet
 {
   public:
@@ -411,17 +463,8 @@ class Fleet
     FleetNode &node(unsigned i) { return *nodes.at(i); }
     const FleetNode &node(unsigned i) const { return *nodes.at(i); }
     const PowerCapGovernor &governor() const { return governor_; }
-    const JobQueue &jobQueue() const { return queue; }
-    /** Jobs waiting for a core right now. */
-    std::size_t pendingJobs() const { return pending.size(); }
 
     const FleetConfig &config() const { return cfg; }
-
-    /** The correlated-event injector; null when chaos is inert. */
-    const FleetFaultInjector *chaosInjector() const
-    {
-        return chaos_.get();
-    }
 
     /**
      * Serialize the whole fleet: job-stream position, scheduler state,
@@ -453,14 +496,9 @@ class Fleet
     std::unique_ptr<FleetFaultInjector> chaos_;
     /** Nodes whose mem arrays currently run at excursion temperature. */
     std::vector<bool> thermalHot_;
-    /** Blast-radius attribution per failure domain, credited serially
-     *  from per-node counter deltas while the domain's event is live. */
-    std::array<std::vector<std::uint64_t>, kNumFailureDomainKinds>
-        domainRecoveries_;
-    std::array<std::vector<std::uint64_t>, kNumFailureDomainKinds>
-        domainQuarantines_;
-    std::array<std::vector<double>, kNumFailureDomainKinds>
-        domainOffline_;
+    /** Blast-radius attribution over the whole fleet, credited
+     *  serially from per-node counter deltas. */
+    DomainLedger ledger_;
     /** Per-node counter baselines for the delta attribution. */
     std::vector<std::uint64_t> seenRecoveries_;
     std::vector<std::uint64_t> seenQuarantines_;

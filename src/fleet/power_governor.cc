@@ -189,21 +189,6 @@ PowerCapGovernor::setAbsent(unsigned chip, bool absent)
     absent_.at(chip) = absent;
 }
 
-bool
-PowerCapGovernor::absent(unsigned chip) const
-{
-    return absent_.at(chip);
-}
-
-unsigned
-PowerCapGovernor::absentChips() const
-{
-    unsigned count = 0;
-    for (bool a : absent_)
-        count += a ? 1 : 0;
-    return count;
-}
-
 void
 PowerCapGovernor::saveState(StateWriter &w) const
 {

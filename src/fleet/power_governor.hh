@@ -102,8 +102,6 @@ class PowerCapGovernor
      * EWMA. Takes effect at the next update().
      */
     void setAbsent(unsigned chip, bool absent);
-    bool absent(unsigned chip) const;
-    unsigned absentChips() const;
 
     /** Current cap of one chip (W); infinite when disabled. */
     Watt cap(unsigned chip) const;

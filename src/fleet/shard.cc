@@ -53,20 +53,7 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
     if (m.corrRateAtMinSafe < 0.0 || m.dueRateAtMinSafe < 0.0 ||
         m.recoveryPenalty < 0.0)
         fatal("ScaleChipModel rates must be non-negative");
-    const HealthConfig &hc = cfg.health;
-    if (hc.enabled) {
-        if (hc.windowTau <= 0.0)
-            fatal("HealthConfig window tau must be positive");
-        if (hc.quarantineHold <= 0.0 || hc.selfTestDuration <= 0.0 ||
-            hc.probationDuration <= 0.0)
-            fatal("HealthConfig state durations must be positive");
-        if (hc.healthyRate > hc.degradeRate ||
-            hc.degradeRate > hc.quarantineRate)
-            fatal("HealthConfig thresholds must satisfy healthyRate "
-                  "<= degradeRate <= quarantineRate");
-        if (hc.selfTestBoostMv < 0.0)
-            fatal("HealthConfig self-test boost must be non-negative");
-    }
+    cfg.health.validate();
     if (cfg.retryWatchdog <= 0.0)
         fatal("ShardedFleet retry watchdog must be positive");
     if (cfg.hedgeLoserFraction < 0.0 || cfg.hedgeLoserFraction > 1.0)
@@ -84,7 +71,7 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
     energyJ_.assign(n, 0.0);
     energyMark_.assign(n, 0.0);
     holdoff_.assign(n, 0);
-    health_.assign(n, std::uint8_t(ChipHealth::healthy));
+    health_.assign(n, ChipHealth::healthy);
     dueWindow_.assign(n, 0.0);
     healthTimer_.assign(n, 0.0);
 
@@ -114,21 +101,8 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
         shard.rng = Rng(mix64(mix64(cfg.seed, 0x5A4DULL), s));
         if (cfg.exactLatencyValidation)
             shard.metrics.enableExactHistogram();
-        if (!chaos_)
-            continue;
-        // Chips are consecutive, so a shard's domains of each kind are
-        // a contiguous id range; the attribution rows cover just it.
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const auto kind = FailureDomainKind(kk);
-            if (chaos_->domainSize(kind) == 0)
-                continue;
-            const unsigned base = chaos_->domainOf(kind, shard.lo);
-            const unsigned last = chaos_->domainOf(kind, shard.hi - 1);
-            shard.domainBase[kk] = base;
-            shard.domainDues[kk].assign(last - base + 1, 0);
-            shard.domainQuarantines[kk].assign(last - base + 1, 0);
-            shard.domainOffline[kk].assign(last - base + 1, 0.0);
-        }
+        if (chaos_)
+            shard.ledger.cover(*chaos_, shard.lo, shard.hi);
     }
     if (chaos_) {
         for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
@@ -136,44 +110,6 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
                 chaos_->numDomains(FailureDomainKind(kk)), 0);
         }
     }
-}
-
-void
-ShardedFleet::creditDomains(Shard &shard, unsigned i,
-                            std::uint64_t dues,
-                            std::uint64_t quarantines, Seconds offline)
-{
-    for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-        const auto kind = FailureDomainKind(kk);
-        if (!chaos_->eventActive(kind, i))
-            continue;
-        const unsigned d =
-            chaos_->domainOf(kind, i) - shard.domainBase[kk];
-        shard.domainDues[kk][d] += dues;
-        shard.domainQuarantines[kk][d] += quarantines;
-        shard.domainOffline[kk][d] += offline;
-    }
-}
-
-void
-ShardedFleet::enterQuarantine(Shard &shard, unsigned i)
-{
-    // The watchdog declares the chip's queued work lost and requeues
-    // it: the backlog drains into the shard's slice buffer and the
-    // serial phase spreads it over healthy capacity — the scale-path
-    // analogue of the cold fleet's abandonment requeue.
-    shard.sliceDrained += backlog_[i];
-    shard.drainedWork += backlog_[i];
-    if (backlog_[i] > 0.0)
-        ++shard.drainEvents;
-    backlog_[i] = 0.0;
-    health_[i] = std::uint8_t(ChipHealth::quarantined);
-    healthTimer_[i] = cfg.health.quarantineHold;
-    railMv_[i] = cfg.chip.nominalVdd;
-    holdoff_[i] = cfg.chip.holdSlices;
-    ++shard.quarantines;
-    if (chaos_)
-        creditDomains(shard, i, 0, 1, 0.0);
 }
 
 void
@@ -188,55 +124,39 @@ ShardedFleet::applyChipSlice(Shard &shard, unsigned i,
 
     risk_[i] *= risk_decay;
 
-    if (hc.enabled) {
-        // Windowed DUE rate: the EWMA the health FSM thresholds read.
-        dueWindow_[i] = dueWindow_[i] * window_decay +
-                        (1.0 - window_decay) * (double(dues) / slice);
-    }
-    if (chaos_ && dues > 0)
-        creditDomains(shard, i, dues, 0, 0.0);
+    // The health FSM reads only its own state and this slice's DUEs;
+    // everything below reacts to the edge it took.
+    const ChipHealth state = health_[i];
+    const HealthEdge edge =
+        hc.enabled ? hc.step(health_[i], dueWindow_[i], healthTimer_[i],
+                             dues, slice, window_decay)
+                   : HealthEdge::none;
 
-    const ChipHealth state = ChipHealth(health_[i]);
-    if (state == ChipHealth::quarantined ||
-        state == ChipHealth::selfTesting) {
+    if (!healthSchedulable(state)) {
         // Offline: drained of work, closed to placement. The drain
         // park rides at nominal; the firmware self-test runs every
         // core busy at nominal + boost. ECC events cause no recovery
         // (there is no workload to replay) — they only feed the
         // windowed rate that gates re-admission, so a storm that
         // outlasts the self-test keeps the chip inside.
-        healthTimer_[i] -= slice;
-        double util = 0.0;
-        if (state == ChipHealth::quarantined) {
-            railMv_[i] = m.nominalVdd;
-            if (healthTimer_[i] <= 0.0) {
-                health_[i] = std::uint8_t(ChipHealth::selfTesting);
-                healthTimer_[i] = hc.selfTestDuration;
-            }
-        } else {
-            railMv_[i] = m.nominalVdd + hc.selfTestBoostMv;
-            util = 1.0;
-            if (healthTimer_[i] <= 0.0) {
-                if (dueWindow_[i] >= hc.degradeRate) {
-                    healthTimer_[i] = hc.selfTestDuration;
-                } else {
-                    health_[i] = std::uint8_t(ChipHealth::probation);
-                    healthTimer_[i] = hc.probationDuration;
-                    // Probationary earned-floor reset: re-admitted
-                    // capacity re-earns its depth from scratch.
-                    earnedFloorMv_[i] = m.nominalVdd;
-                    railMv_[i] = m.nominalVdd;
-                    holdoff_[i] = m.holdSlices;
-                    risk_[i] = 0.0;
-                    ++shard.readmissions;
-                }
-            }
+        const bool testing = state == ChipHealth::selfTesting;
+        const double util = testing ? 1.0 : 0.0;
+        railMv_[i] = testing && edge != HealthEdge::readmit
+                         ? m.nominalVdd + hc.selfTestBoostMv
+                         : m.nominalVdd;
+        if (edge == HealthEdge::readmit) {
+            // Probationary earned-floor reset: re-admitted capacity
+            // re-earns its depth from scratch.
+            earnedFloorMv_[i] = m.nominalVdd;
+            holdoff_[i] = m.holdSlices;
+            risk_[i] = 0.0;
+            ++shard.readmissions;
         }
         const Seconds offline_core_time =
             double(m.coresPerChip) * slice;
         shard.offlineTime += offline_core_time;
         if (chaos_)
-            creditDomains(shard, i, 0, 0, offline_core_time);
+            shard.ledger.credit(*chaos_, i, dues, 0, offline_core_time);
         const Watt power = double(m.coresPerChip) *
                            (m.idlePowerPerCore +
                             m.activePowerPerCore * util) *
@@ -281,24 +201,24 @@ ShardedFleet::applyChipSlice(Shard &shard, unsigned i,
                        sq(railMv_[i] * inv_nominal);
     energyJ_[i] += power * slice;
 
-    if (hc.enabled) {
-        if (state == ChipHealth::probation) {
-            healthTimer_[i] -= slice;
-            if (dues > 0) {
-                // One strike on probation sends the chip back inside.
-                enterQuarantine(shard, i);
-            } else if (healthTimer_[i] <= 0.0) {
-                health_[i] = std::uint8_t(ChipHealth::healthy);
-            }
-        } else if (dueWindow_[i] >= hc.quarantineRate) {
-            enterQuarantine(shard, i);
-        } else if (state == ChipHealth::degraded) {
-            if (dueWindow_[i] <= hc.healthyRate)
-                health_[i] = std::uint8_t(ChipHealth::healthy);
-        } else if (dueWindow_[i] >= hc.degradeRate) {
-            health_[i] = std::uint8_t(ChipHealth::degraded);
-        }
+    const bool quarantined = edge == HealthEdge::quarantine;
+    if (quarantined) {
+        // The watchdog declares the chip's queued work lost and
+        // requeues it: the backlog drains into the shard's slice
+        // buffer and the serial phase spreads it over healthy capacity
+        // — the scale-path analogue of the cold fleet's abandonment
+        // requeue. The rail parks at nominal.
+        shard.sliceDrained += backlog_[i];
+        shard.drainedWork += backlog_[i];
+        if (backlog_[i] > 0.0)
+            ++shard.drainEvents;
+        backlog_[i] = 0.0;
+        railMv_[i] = m.nominalVdd;
+        holdoff_[i] = m.holdSlices;
+        ++shard.quarantines;
     }
+    if (chaos_ && (dues > 0 || quarantined))
+        shard.ledger.credit(*chaos_, i, dues, quarantined, 0.0);
 }
 
 void
@@ -308,9 +228,7 @@ ShardedFleet::advanceShard(Shard &shard, Seconds slice)
     const double risk_decay = std::exp(-slice / cfg.riskTau);
     const double inv_nominal = 1.0 / m.nominalVdd;
     const Seconds drain_capacity = double(m.coresPerChip) * slice;
-    const double window_decay =
-        cfg.health.enabled ? std::exp(-slice / cfg.health.windowTau)
-                           : 1.0;
+    const double window_decay = std::exp(-slice / cfg.health.windowTau);
 
     for (unsigned i = shard.lo; i < shard.hi; ++i) {
         // ECC feedback: event rates are exponential in the margin the
@@ -352,9 +270,7 @@ ShardedFleet::advanceShardBatched(Shard &shard, Seconds slice)
     const double risk_decay = std::exp(-slice / cfg.riskTau);
     const double inv_nominal = 1.0 / m.nominalVdd;
     const Seconds drain_capacity = double(m.coresPerChip) * slice;
-    const double window_decay =
-        cfg.health.enabled ? std::exp(-slice / cfg.health.windowTau)
-                           : 1.0;
+    const double window_decay = std::exp(-slice / cfg.health.windowTau);
     const unsigned n = shard.hi - shard.lo;
     if (n == 0)
         return;
@@ -620,11 +536,10 @@ ShardedFleet::placeOne(const TrafficArrival &arrival, unsigned attempt,
     if (chaos_ && completion > arrival.deadline) {
         // Blast-radius attribution: the miss is charged to every
         // failure domain with an active event over the serving chip.
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const auto kind = FailureDomainKind(kk);
-            if (chaos_->eventActive(kind, c))
-                ++domainMisses_[kk][chaos_->domainOf(kind, c)];
-        }
+        chaos_->forEachActiveDomain(
+            c, [&](FailureDomainKind kind, unsigned domain) {
+                ++domainMisses_[std::size_t(kind)][domain];
+            });
     }
 
     if (completion <= cfg.horizon) {
@@ -778,7 +693,7 @@ ShardedFleet::audit()
     const Millivolt rail_hi =
         m.nominalVdd + cfg.health.selfTestBoostMv + 1e-9;
     for (unsigned i = 0; i < cfg.numChips; ++i) {
-        if (health_[i] > std::uint8_t(ChipHealth::probation)) {
+        if (health_[i] > ChipHealth::probation) {
             violate("chip " + std::to_string(i) +
                     " has an invalid health state");
             break;
@@ -960,47 +875,15 @@ ShardedFleet::report() const
     rep.abandonedCores = 0;
     rep.throttleEpisodes = governor_.throttleEpisodes();
 
-    // Blast-radius attribution: fold each shard's domain-range spans
-    // back onto fleet-wide domain indices, join with the injector's
-    // onset counts, and emit one row per domain that saw any action.
+    // Blast-radius attribution: fold the shard ledgers onto fleet-wide
+    // domain ids in shard order, then emit one row per domain that saw
+    // any action.
     if (chaos_) {
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const auto kind = FailureDomainKind(kk);
-            const unsigned domains = chaos_->numDomains(kind);
-            if (domains == 0)
-                continue;
-            std::vector<std::uint64_t> dues(domains, 0);
-            std::vector<std::uint64_t> quarantines(domains, 0);
-            std::vector<Seconds> offline_cs(domains, 0.0);
-            for (const Shard &shard : shards) {
-                const unsigned base = shard.domainBase[kk];
-                for (std::size_t d = 0;
-                     d < shard.domainDues[kk].size(); ++d) {
-                    dues[base + d] += shard.domainDues[kk][d];
-                    quarantines[base + d] +=
-                        shard.domainQuarantines[kk][d];
-                    offline_cs[base + d] += shard.domainOffline[kk][d];
-                }
-            }
-            const std::vector<std::uint64_t> &events =
-                chaos_->domainEvents(kind);
-            for (unsigned d = 0; d < domains; ++d) {
-                const std::uint64_t misses = domainMisses_[kk][d];
-                if (events[d] == 0 && dues[d] == 0 &&
-                    quarantines[d] == 0 && misses == 0 &&
-                    offline_cs[d] == 0.0)
-                    continue;
-                FleetReport::DomainImpact row;
-                row.kind = kind;
-                row.domain = d;
-                row.events = events[d];
-                row.dues = dues[d];
-                row.quarantines = quarantines[d];
-                row.slaMisses = misses;
-                row.offlineCoreSeconds = offline_cs[d];
-                rep.domainImpact.push_back(row);
-            }
-        }
+        DomainLedger fleet;
+        fleet.cover(*chaos_, 0, cfg.numChips);
+        for (const Shard &shard : shards)
+            fleet.fold(shard.ledger);
+        fleet.appendRows(*chaos_, &domainMisses_, rep.domainImpact);
     }
     return rep;
 }
@@ -1053,11 +936,10 @@ ShardedFleet::snapshot(StateWriter &w) const
         w.putU64(entry.attempt);
         w.putDouble(entry.readyAt);
     }
-    w.putBool(chaos_ != nullptr);
+    saveFleetChaos(w, chaos_.get());
     if (chaos_) {
-        chaos_->saveState(w);
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk)
-            w.putU64Vector(domainMisses_[kk]);
+        for (const std::vector<std::uint64_t> &misses : domainMisses_)
+            w.putU64Vector(misses);
     }
     w.endSection();
 
@@ -1094,7 +976,7 @@ ShardedFleet::snapshot(StateWriter &w) const
         // robustness counters.
         std::vector<std::uint64_t> health(shard.hi - shard.lo);
         for (unsigned i = shard.lo; i < shard.hi; ++i)
-            health[i - shard.lo] = health_[i];
+            health[i - shard.lo] = std::uint64_t(health_[i]);
         w.putU64Vector(health);
         span(dueWindow_);
         span(healthTimer_);
@@ -1104,11 +986,7 @@ ShardedFleet::snapshot(StateWriter &w) const
         w.putDouble(shard.drainedWork);
         w.putDouble(shard.offlineTime);
         w.putDouble(shard.sliceDrained);
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            w.putU64Vector(shard.domainDues[kk]);
-            w.putU64Vector(shard.domainQuarantines[kk]);
-            w.putDoubleVector(shard.domainOffline[kk]);
-        }
+        shard.ledger.saveState(w);
         w.endSection();
     }
 }
@@ -1155,19 +1033,13 @@ ShardedFleet::restore(StateReader &r)
         entry.readyAt = r.getDouble();
         retryQueue_.push_back(entry);
     }
-    const bool had_chaos = r.getBool();
-    if (had_chaos != (chaos_ != nullptr))
-        throw SnapshotError(
-            "fleet chaos armament mismatch (snapshot was taken with a "
-            "different correlated-event configuration)");
+    loadFleetChaos(r, chaos_.get());
     if (chaos_) {
-        chaos_->loadState(r);
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const std::vector<std::uint64_t> misses = r.getU64Vector();
-            if (misses.size() != domainMisses_[kk].size())
-                throw SnapshotError(
-                    "fleet blast-radius domain count mismatch");
-            domainMisses_[kk] = misses;
+        for (std::vector<std::uint64_t> &misses : domainMisses_) {
+            std::vector<std::uint64_t> loaded = r.getU64Vector();
+            if (loaded.size() != misses.size())
+                throw SnapshotError("blast-radius domain count mismatch");
+            misses = std::move(loaded);
         }
     }
     r.endSection();
@@ -1214,7 +1086,7 @@ ShardedFleet::restore(StateReader &r)
                 std::uint64_t(ChipHealth::probation))
                 throw SnapshotError("invalid chip health state in "
                                     "snapshot");
-            health_[i] = std::uint8_t(health[i - shard.lo]);
+            health_[i] = ChipHealth(health[i - shard.lo]);
         }
         span(dueWindow_);
         span(healthTimer_);
@@ -1224,19 +1096,7 @@ ShardedFleet::restore(StateReader &r)
         shard.drainedWork = r.getDouble();
         shard.offlineTime = r.getDouble();
         shard.sliceDrained = r.getDouble();
-        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
-            const std::vector<std::uint64_t> dd = r.getU64Vector();
-            const std::vector<std::uint64_t> dq = r.getU64Vector();
-            const std::vector<double> doff = r.getDoubleVector();
-            if (dd.size() != shard.domainDues[kk].size() ||
-                dq.size() != shard.domainQuarantines[kk].size() ||
-                doff.size() != shard.domainOffline[kk].size())
-                throw SnapshotError(
-                    "shard blast-radius span size mismatch");
-            shard.domainDues[kk] = dd;
-            shard.domainQuarantines[kk] = dq;
-            shard.domainOffline[kk] = doff;
-        }
+        shard.ledger.loadState(r);
         r.endSection();
     }
 }

@@ -60,12 +60,17 @@
  * cores + service), so completions, SLA checks and the latency sketch
  * are deterministic and classified against the configured horizon —
  * independent of how run() chunks the campaign.
+ *
+ * Robustness: each chip steps the health FSM the cold Fleet runs too
+ * (HealthConfig::step, fed the chip's DUEs from the SoA health arrays);
+ * applyChipSlice only reacts to the edge it returns. Each shard credits
+ * its own DomainLedger over its chip span, and report() folds the
+ * ledgers in shard order and adds the SLA misses charged at placement.
  */
 
 #ifndef VSPEC_FLEET_SHARD_HH
 #define VSPEC_FLEET_SHARD_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -245,22 +250,7 @@ class ShardedFleet
     Seconds queueDepth(unsigned chip) const { return backlog_.at(chip); }
     double riskScore(unsigned chip) const { return risk_.at(chip); }
     /** Health FSM state of one chip. */
-    ChipHealth chipHealth(unsigned chip) const
-    {
-        return ChipHealth(health_.at(chip));
-    }
-    /** Windowed DUE-rate estimate driving the health FSM (1/s). */
-    double dueWindowRate(unsigned chip) const
-    {
-        return dueWindow_.at(chip);
-    }
-    /** The correlated-event injector; null when chaos is inert. */
-    const FleetFaultInjector *chaosInjector() const
-    {
-        return chaos_.get();
-    }
-    /** Jobs deferred into the retry queue right now. */
-    std::size_t retryQueueDepth() const { return retryQueue_.size(); }
+    ChipHealth chipHealth(unsigned chip) const { return health_.at(chip); }
 
     /**
      * Run the invariant audit now: no placement ever landed on
@@ -339,19 +329,8 @@ class ShardedFleet
         /** Work drained this slice; folded serially after advance. */
         Seconds sliceDrained = 0.0;
 
-        /**
-         * Per-failure-domain blast-radius attribution over this
-         * shard's contiguous domain range (chips are consecutive, so
-         * domain ids are too): index d counts domain domainBase[k]+d.
-         * Credited only while the domain's event is active.
-         */
-        std::array<unsigned, kNumFailureDomainKinds> domainBase{};
-        std::array<std::vector<std::uint64_t>, kNumFailureDomainKinds>
-            domainDues;
-        std::array<std::vector<std::uint64_t>, kNumFailureDomainKinds>
-            domainQuarantines;
-        std::array<std::vector<double>, kNumFailureDomainKinds>
-            domainOffline;
+        /** Blast-radius attribution over this shard's chips. */
+        DomainLedger ledger;
 
         /** Slice-batched scratch (touched only by this shard's task). */
         std::vector<std::int64_t> bucketScratch;
@@ -380,8 +359,8 @@ class ShardedFleet
     /** Energy reading at the governor's last measurement. */
     std::vector<double> energyMark_;
     std::vector<std::uint32_t> holdoff_;
-    /** Health FSM state per chip (ChipHealth as u8). */
-    std::vector<std::uint8_t> health_;
+    /** Health FSM state per chip (one byte each). */
+    std::vector<ChipHealth> health_;
     /** Windowed DUE-rate EWMA per chip (1/s). */
     std::vector<double> dueWindow_;
     /** Seconds left in the current quarantine/self-test/probation. */
@@ -409,8 +388,7 @@ class ShardedFleet
     /** Invariant counter: placements onto offline chips (must be 0). */
     std::uint64_t placementsOnQuarantined_ = 0;
     /** SLA misses attributed to domains with an active event. */
-    std::array<std::vector<std::uint64_t>, kNumFailureDomainKinds>
-        domainMisses_;
+    DomainLedger::Misses domainMisses_;
     std::vector<std::string> auditViolations_;
 
     Seconds now_ = 0.0;
@@ -444,7 +422,8 @@ class ShardedFleet
      * The per-chip control state machine for one slice, given this
      * slice's correctable/DUE event counts (drawn per chip on the
      * exact path, thinned from the pooled draws on the batched path):
-     * backoff/recovery/descent, queue drain and the energy integral.
+     * the health-FSM step, backoff/recovery/descent, queue drain and
+     * the energy integral.
      */
     void applyChipSlice(Shard &shard, unsigned i, std::uint64_t corr,
                         std::uint64_t dues, Seconds slice,
@@ -454,17 +433,8 @@ class ShardedFleet
     /** True while the chip takes no placements (health FSM). */
     bool chipOffline(unsigned chip) const
     {
-        return !healthSchedulable(ChipHealth(health_[chip]));
+        return !healthSchedulable(health_[chip]);
     }
-
-    /** Quarantine entry: drain the backlog into the shard's slice
-     *  buffer, park the rail at nominal, start the hold timer. */
-    void enterQuarantine(Shard &shard, unsigned i);
-
-    /** Credit the per-domain attribution rows of every kind with an
-     *  active event over chip @p i (shard-local, parallel-safe). */
-    void creditDomains(Shard &shard, unsigned i, std::uint64_t dues,
-                       std::uint64_t quarantines, Seconds offline);
 
     struct PlacementChoice
     {

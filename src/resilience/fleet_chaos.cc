@@ -51,7 +51,7 @@ FleetChaosConfig::armed() const
 FleetFaultInjector::FleetFaultInjector(const FleetChaosConfig &config,
                                        std::uint64_t fleet_seed,
                                        unsigned num_chips)
-    : cfg(config), chips(num_chips)
+    : cfg(config)
 {
     if (num_chips == 0)
         fatal("FleetFaultInjector needs at least one chip");
@@ -144,27 +144,24 @@ FleetFaultInjector::beginSlice(Seconds slice_width)
 Millivolt
 FleetFaultInjector::railDroopMv(unsigned chip) const
 {
-    const KindState &k = kindState(FailureDomainKind::railGroup);
-    if (!k.live() || k.remaining[chip / k.size] <= 0.0)
-        return 0.0;
-    return cfg.railDroopMagnitudeMv;
+    return eventActive(FailureDomainKind::railGroup, chip)
+               ? cfg.railDroopMagnitudeMv
+               : 0.0;
 }
 
 Celsius
 FleetFaultInjector::thermalDeltaC(unsigned chip) const
 {
-    const KindState &k = kindState(FailureDomainKind::thermalZone);
-    if (!k.live() || k.remaining[chip / k.size] <= 0.0)
-        return 0.0;
-    return cfg.thermalDeltaC;
+    return eventActive(FailureDomainKind::thermalZone, chip)
+               ? cfg.thermalDeltaC
+               : 0.0;
 }
 
 Millivolt
 FleetFaultInjector::marginPenaltyMv(unsigned chip) const
 {
     Millivolt penalty = railDroopMv(chip);
-    const KindState &k = kindState(FailureDomainKind::thermalZone);
-    if (k.live() && k.remaining[chip / k.size] > 0.0)
+    if (eventActive(FailureDomainKind::thermalZone, chip))
         penalty += cfg.thermalMarginPenaltyMv;
     return penalty;
 }
@@ -172,28 +169,8 @@ FleetFaultInjector::marginPenaltyMv(unsigned chip) const
 double
 FleetFaultInjector::dueStormRate(unsigned chip) const
 {
-    const KindState &k = kindState(FailureDomainKind::rack);
-    if (!k.live() || k.remaining[chip / k.size] <= 0.0)
-        return 0.0;
-    return cfg.dueStormRate;
-}
-
-bool
-FleetFaultInjector::eventActive(FailureDomainKind kind,
-                                unsigned chip) const
-{
-    const KindState &k = kindState(kind);
-    return k.live() && k.remaining[chip / k.size] > 0.0;
-}
-
-bool
-FleetFaultInjector::anyEventActive(unsigned chip) const
-{
-    for (const KindState &k : kinds) {
-        if (k.live() && k.remaining[chip / k.size] > 0.0)
-            return true;
-    }
-    return false;
+    return eventActive(FailureDomainKind::rack, chip) ? cfg.dueStormRate
+                                                      : 0.0;
 }
 
 std::uint64_t
@@ -245,6 +222,108 @@ FleetFaultInjector::loadState(StateReader &r)
         k.events = events;
         k.started = r.getU64();
     }
+}
+
+void
+saveFleetChaos(StateWriter &w, const FleetFaultInjector *chaos)
+{
+    w.putBool(chaos != nullptr);
+    if (chaos)
+        chaos->saveState(w);
+}
+
+void
+loadFleetChaos(StateReader &r, FleetFaultInjector *chaos)
+{
+    if (r.getBool() != (chaos != nullptr))
+        throw SnapshotError(
+            "fleet chaos armament mismatch (snapshot was taken with a "
+            "different correlated-event configuration)");
+    if (chaos)
+        chaos->loadState(r);
+}
+
+void
+HealthConfig::validate() const
+{
+    if (!enabled)
+        return;
+    if (windowTau <= 0.0)
+        fatal("HealthConfig window tau must be positive");
+    if (quarantineHold <= 0.0 || selfTestDuration <= 0.0 ||
+        probationDuration <= 0.0)
+        fatal("HealthConfig state durations must be positive");
+    if (healthyRate > degradeRate || degradeRate > quarantineRate)
+        fatal("HealthConfig thresholds must satisfy healthyRate "
+              "<= degradeRate <= quarantineRate");
+    if (selfTestBoostMv < 0.0)
+        fatal("HealthConfig self-test boost must be non-negative");
+}
+
+HealthEdge
+HealthConfig::step(ChipHealth &state, double &window, Seconds &timer,
+                   std::uint64_t events, Seconds slice,
+                   double window_decay) const
+{
+    window = window * window_decay +
+             (1.0 - window_decay) * (double(events) / slice);
+
+    const auto quarantine = [&] {
+        state = ChipHealth::quarantined;
+        timer = quarantineHold;
+        return HealthEdge::quarantine;
+    };
+    switch (state) {
+      case ChipHealth::quarantined:
+        timer -= slice;
+        if (timer <= 0.0) {
+            state = ChipHealth::selfTesting;
+            timer = selfTestDuration;
+            return HealthEdge::selfTest;
+        }
+        return HealthEdge::none;
+      case ChipHealth::selfTesting:
+        timer -= slice;
+        if (timer > 0.0)
+            return HealthEdge::none;
+        if (window >= degradeRate) {
+            // Still noisy: run the self-test again.
+            timer = selfTestDuration;
+            return HealthEdge::retest;
+        }
+        state = ChipHealth::probation;
+        timer = probationDuration;
+        return HealthEdge::readmit;
+      case ChipHealth::probation:
+        // One event on probation sends the chip straight back inside.
+        if (events > 0)
+            return quarantine();
+        timer -= slice;
+        if (timer <= 0.0) {
+            state = ChipHealth::healthy;
+            return HealthEdge::recovered;
+        }
+        return HealthEdge::none;
+      case ChipHealth::healthy:
+      case ChipHealth::degraded:
+        if (window >= quarantineRate)
+            return quarantine();
+        if (state == ChipHealth::degraded) {
+            // Hysteresis: back to healthy only strictly below
+            // healthyRate.
+            if (window < healthyRate) {
+                state = ChipHealth::healthy;
+                return HealthEdge::healthy;
+            }
+            return HealthEdge::none;
+        }
+        if (window >= degradeRate) {
+            state = ChipHealth::degraded;
+            return HealthEdge::degraded;
+        }
+        return HealthEdge::none;
+    }
+    panic("unknown chip health state");
 }
 
 } // namespace vspec

@@ -33,6 +33,10 @@
  * count. beginSlice runs in the fleet's serial phase; the effect
  * queries (marginPenaltyMv, dueStormRate, thermalDeltaC) are read-only
  * and safe from concurrent shard tasks.
+ *
+ * The chip-health lifecycle both fleets run also lives here:
+ * HealthConfig::step is the one FSM, fed recoveries by the cold Fleet
+ * and DUEs by the hot ShardedFleet.
  */
 
 #ifndef VSPEC_RESILIENCE_FLEET_CHAOS_HH
@@ -105,9 +109,6 @@ class FleetFaultInjector
     FleetFaultInjector(const FleetChaosConfig &config,
                        std::uint64_t fleet_seed, unsigned num_chips);
 
-    const FleetChaosConfig &config() const { return cfg; }
-    unsigned numChips() const { return chips; }
-
     /** Chips per domain of @p kind; 0 when the kind is disabled. */
     unsigned domainSize(FailureDomainKind kind) const;
     /** Domains of @p kind (0 when disabled). */
@@ -131,9 +132,25 @@ class FleetFaultInjector
     /** Additive DUE rate from an active rack storm (1/s). */
     double dueStormRate(unsigned chip) const;
     /** True when a @p kind event is active over @p chip's domain. */
-    bool eventActive(FailureDomainKind kind, unsigned chip) const;
-    /** True when any kind's event is active over @p chip. */
-    bool anyEventActive(unsigned chip) const;
+    bool eventActive(FailureDomainKind kind, unsigned chip) const
+    {
+        const KindState &k = kindState(kind);
+        return k.live() && k.remaining[chip / k.size] > 0.0;
+    }
+    /**
+     * Call @p fn(kind, domain) for every kind whose event is active
+     * over @p chip, in kind order — the one blast-radius crediting
+     * loop both fleets attribute through.
+     */
+    template <typename Fn>
+    void forEachActiveDomain(unsigned chip, Fn &&fn) const
+    {
+        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
+            const auto kind = FailureDomainKind(kk);
+            if (eventActive(kind, chip))
+                fn(kind, chip / kinds[kk].size);
+        }
+    }
 
     /** Events started so far for @p kind. */
     std::uint64_t eventsStarted(FailureDomainKind kind) const;
@@ -163,7 +180,6 @@ class FleetFaultInjector
     };
 
     FleetChaosConfig cfg;
-    unsigned chips = 0;
     /** Width of the previous slice, pending expiry at the next
      *  beginSlice (so events drawn this slice stay active through it). */
     Seconds pendingDecay = 0.0;
@@ -173,6 +189,51 @@ class FleetFaultInjector
     {
         return kinds[std::size_t(kind)];
     }
+};
+
+/**
+ * Snapshot framing both fleets share: an armed flag, then the
+ * injector's state when @p chaos is non-null.
+ */
+void saveFleetChaos(StateWriter &w, const FleetFaultInjector *chaos);
+/**
+ * Read what saveFleetChaos wrote into @p chaos (null when inert);
+ * throws SnapshotError when the snapshot was taken under a different
+ * armament.
+ */
+void loadFleetChaos(StateReader &r, FleetFaultInjector *chaos);
+
+/** Per-chip health FSM states, in escalation order. */
+enum class ChipHealth : std::uint8_t
+{
+    healthy = 0,
+    degraded = 1,
+    quarantined = 2,
+    selfTesting = 3,
+    probation = 4,
+};
+
+const char *chipHealthName(ChipHealth health);
+
+/** The transition one HealthConfig::step took. */
+enum class HealthEdge : std::uint8_t
+{
+    none,
+    /** healthy -> degraded: the window reached degradeRate. */
+    degraded,
+    /** degraded -> healthy: the window fell below healthyRate. */
+    healthy,
+    /** -> quarantined: the window reached quarantineRate, or an event
+     *  struck a chip on probation. */
+    quarantine,
+    /** quarantined -> self-testing: the hold expired. */
+    selfTest,
+    /** self-testing again: the window was still >= degradeRate. */
+    retest,
+    /** self-testing -> probation: the chip passed its self-test. */
+    readmit,
+    /** probation -> healthy: probation expired without an event. */
+    recovered,
 };
 
 /**
@@ -202,19 +263,23 @@ struct HealthConfig
     Millivolt selfTestBoostMv = 50.0;
     /** Probationary window after re-admission (s). */
     Seconds probationDuration = 5.0;
-};
 
-/** Per-chip health FSM states, in escalation order. */
-enum class ChipHealth : std::uint8_t
-{
-    healthy = 0,
-    degraded = 1,
-    quarantined = 2,
-    selfTesting = 3,
-    probation = 4,
-};
+    /** Abort (fatal) on inverted thresholds or non-positive times;
+     *  a disabled config is not checked. */
+    void validate() const;
 
-const char *chipHealthName(ChipHealth health);
+    /**
+     * One slice of the health FSM for one chip, the single copy both
+     * fleets run. Folds this slice's @p events into the windowed
+     * @p window (EWMA with the precomputed @p window_decay =
+     * exp(-slice / windowTau)), then moves @p state and its phase
+     * @p timer. The caller owns everything an edge does to the chip
+     * (draining work, parking the rail, counters).
+     */
+    HealthEdge step(ChipHealth &state, double &window, Seconds &timer,
+                    std::uint64_t events, Seconds slice,
+                    double window_decay) const;
+};
 
 /** Quarantined and self-testing chips take no placements. */
 inline bool

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "fleet/fleet.hh"
+#include "fleet/shard.hh"
 #include "platform/harness.hh"
 #include "platform/simulator.hh"
 #include "sram/aging.hh"
@@ -131,6 +133,44 @@ TEST(Validation, SimulatorRejectsNonPositiveTick)
     Chip chip(cfg);
     EXPECT_EXIT({ Simulator bad(chip, 0.0); },
                 ::testing::ExitedWithCode(1), "");
+}
+
+/** Health configs that HealthConfig::validate must refuse. */
+std::vector<HealthConfig>
+invalidHealthConfigs()
+{
+    HealthConfig base;
+    base.enabled = true;
+    HealthConfig healthy_above_degrade = base;
+    healthy_above_degrade.healthyRate = 0.1;
+    healthy_above_degrade.degradeRate = 0.05;
+    HealthConfig degrade_above_quarantine = base;
+    degrade_above_quarantine.degradeRate = 0.3;
+    degrade_above_quarantine.quarantineRate = 0.2;
+    HealthConfig zero_tau = base;
+    zero_tau.windowTau = 0.0;
+    return {healthy_above_degrade, degrade_above_quarantine, zero_tau};
+}
+
+TEST(Validation, ColdFleetRejectsInvalidHealthConfig)
+{
+    for (const HealthConfig &hc : invalidHealthConfigs()) {
+        FleetConfig cfg;
+        cfg.health = hc;
+        EXPECT_EXIT({ Fleet bad(cfg); }, ::testing::ExitedWithCode(1),
+                    "HealthConfig");
+    }
+}
+
+TEST(Validation, ShardedFleetRejectsInvalidHealthConfig)
+{
+    for (const HealthConfig &hc : invalidHealthConfigs()) {
+        ScaleFleetConfig cfg;
+        cfg.numChips = 16;
+        cfg.health = hc;
+        EXPECT_EXIT({ ShardedFleet bad(cfg); },
+                    ::testing::ExitedWithCode(1), "HealthConfig");
+    }
 }
 
 TEST(Validation, FitTwoPointsRejectsInvertedAnchors)
