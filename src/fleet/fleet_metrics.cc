@@ -56,16 +56,22 @@ FleetMetrics::recordCompletion(const Job &job, const JobClass &cls,
     const Seconds job_latency = completion_time - job.arrival;
     if (job_latency < 0.0)
         panic("FleetMetrics: job ", job.id, " completed before arrival");
+    recordCompletion(job_latency, completion_time > job.deadline,
+                     cls.latencyCritical);
+    addJobEnergy(job_energy);
+}
 
+void
+FleetMetrics::recordCompletion(Seconds job_latency, bool late,
+                               bool critical)
+{
     sketch.add(job_latency);
     if (exactHistogram)
         exactHistogram->add(job_latency);
     latency.add(job_latency);
-    jobEnergyTotal += job_energy;
     ++completedJobs;
-    const bool late = completion_time > job.deadline;
     violations += late ? 1 : 0;
-    if (cls.latencyCritical) {
+    if (critical) {
         ++criticalJobs;
         criticalViolations += late ? 1 : 0;
     }

@@ -64,6 +64,15 @@ class FleetMetrics
      */
     void recordCompletion(const Job &job, const JobClass &cls,
                           Seconds completion_time, Joule job_energy = 0.0);
+    /**
+     * The two halves of the call above, for a caller that logs
+     * completions now and records them later: the completion reduced
+     * to @p latency (completion time minus arrival, non-negative) and
+     * whether the job was @p late and @p critical, and the job's
+     * energy. Each half must see its jobs in the same order.
+     */
+    void recordCompletion(Seconds latency, bool late, bool critical);
+    void addJobEnergy(Joule job_energy) { jobEnergyTotal += job_energy; }
 
     /** Fold another shard into this one. */
     void merge(const FleetMetrics &other);

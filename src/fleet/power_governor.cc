@@ -11,8 +11,8 @@ namespace vspec
 PowerCapGovernor::PowerCapGovernor(const Config &config,
                                    unsigned num_chips)
     : cfg(config), demandEwma(num_chips, 0.0), caps(num_chips, 0.0),
-      throttled_(num_chips, false), seededChips(num_chips, false),
-      absent_(num_chips, false)
+      throttled_(num_chips, 0), seededChips(num_chips, 0),
+      absent_(num_chips, 0)
 {
     if (num_chips == 0)
         fatal("PowerCapGovernor needs at least one chip");
@@ -27,24 +27,25 @@ PowerCapGovernor::PowerCapGovernor(const Config &config,
     }
 }
 
+template <typename MeasurementAt>
 void
-PowerCapGovernor::update(const std::vector<Measurement> &chip_power)
+PowerCapGovernor::updateWith(std::size_t count, MeasurementAt at)
 {
-    if (chip_power.size() != caps.size())
-        panic("PowerCapGovernor: ", chip_power.size(),
-              " measurements for ", caps.size(), " chips");
+    if (count != caps.size())
+        panic("PowerCapGovernor: ", count, " measurements for ",
+              caps.size(), " chips");
     if (!enabled())
         return;
 
-    for (std::size_t i = 0; i < chip_power.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         if (absent_[i])
             continue; // self-test draw is not demand; EWMA freezes
+        const Measurement m = at(i);
         const bool full_interval =
-            chip_power[i].elapsed >= fullIntervalFraction * cfg.interval;
+            m.elapsed >= fullIntervalFraction * cfg.interval;
         if (seededChips[i]) {
-            demandEwma[i] =
-                cfg.demandAlpha * chip_power[i].power +
-                (1.0 - cfg.demandAlpha) * demandEwma[i];
+            demandEwma[i] = cfg.demandAlpha * m.power +
+                            (1.0 - cfg.demandAlpha) * demandEwma[i];
         } else if (full_interval) {
             // Seed from the first full interval. A partial-interval
             // mean (node admitted mid-slice, fleet measured right
@@ -52,41 +53,54 @@ PowerCapGovernor::update(const std::vector<Measurement> &chip_power)
             // the span and would over-throttle them for several
             // intervals; until a full interval lands, redistribute()
             // imputes a neutral demand instead.
-            demandEwma[i] = chip_power[i].power;
-            seededChips[i] = true;
+            demandEwma[i] = m.power;
+            seededChips[i] = 1;
         }
     }
 
     redistribute();
 
-    for (std::size_t i = 0; i < chip_power.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         if (absent_[i]) {
             // Absent capacity takes no placements anyway; a stale
             // throttle flag would only delay its re-admission.
-            throttled_[i] = false;
+            throttled_[i] = 0;
             continue;
         }
+        const Measurement m = at(i);
         const bool full_interval =
-            chip_power[i].elapsed >= fullIntervalFraction * cfg.interval;
+            m.elapsed >= fullIntervalFraction * cfg.interval;
         if (!throttled_[i] && seededChips[i] && full_interval &&
-            chip_power[i].power > caps[i]) {
-            throttled_[i] = true;
+            m.power > caps[i]) {
+            throttled_[i] = 1;
             ++episodes;
         } else if (throttled_[i] &&
-                   chip_power[i].power <=
-                       cfg.resumeFraction * caps[i]) {
-            throttled_[i] = false;
+                   m.power <= cfg.resumeFraction * caps[i]) {
+            throttled_[i] = 0;
         }
     }
 }
 
 void
+PowerCapGovernor::update(const std::vector<Measurement> &chip_power)
+{
+    updateWith(chip_power.size(),
+               [&](std::size_t i) { return chip_power[i]; });
+}
+
+void
+PowerCapGovernor::update(const std::vector<Watt> &chip_power,
+                         Seconds elapsed)
+{
+    updateWith(chip_power.size(), [&](std::size_t i) {
+        return Measurement{chip_power[i], elapsed};
+    });
+}
+
+void
 PowerCapGovernor::update(const std::vector<Watt> &chip_power)
 {
-    std::vector<Measurement> measurements(chip_power.size());
-    for (std::size_t i = 0; i < chip_power.size(); ++i)
-        measurements[i] = {chip_power[i], cfg.interval};
-    update(measurements);
+    update(chip_power, cfg.interval);
 }
 
 void
@@ -157,22 +171,16 @@ PowerCapGovernor::cap(unsigned chip) const
 }
 
 bool
-PowerCapGovernor::throttled(unsigned chip) const
-{
-    return throttled_.at(chip);
-}
-
-bool
 PowerCapGovernor::demandSeeded(unsigned chip) const
 {
-    return seededChips.at(chip);
+    return seededChips.at(chip) != 0;
 }
 
 unsigned
 PowerCapGovernor::throttledChips() const
 {
     unsigned count = 0;
-    for (bool t : throttled_)
+    for (char t : throttled_)
         count += t ? 1 : 0;
     return count;
 }
@@ -184,28 +192,18 @@ PowerCapGovernor::demand(unsigned chip) const
 }
 
 void
-PowerCapGovernor::setAbsent(unsigned chip, bool absent)
-{
-    absent_.at(chip) = absent;
-}
-
-void
 PowerCapGovernor::saveState(StateWriter &w) const
 {
     w.putDoubleVector(demandEwma);
     w.putDoubleVector(caps);
-    std::vector<std::uint64_t> flags(throttled_.size());
-    for (std::size_t i = 0; i < throttled_.size(); ++i)
-        flags[i] = throttled_[i] ? 1 : 0;
-    w.putU64Vector(flags);
-    std::vector<std::uint64_t> seeded_flags(seededChips.size());
-    for (std::size_t i = 0; i < seededChips.size(); ++i)
-        seeded_flags[i] = seededChips[i] ? 1 : 0;
-    w.putU64Vector(seeded_flags);
-    std::vector<std::uint64_t> absent_flags(absent_.size());
-    for (std::size_t i = 0; i < absent_.size(); ++i)
-        absent_flags[i] = absent_[i] ? 1 : 0;
-    w.putU64Vector(absent_flags);
+    // Flags are written as 0/1 u64 vectors (snapshot format v4).
+    const auto put_flags = [&](const std::vector<char> &flags) {
+        w.putU64Vector(
+            std::vector<std::uint64_t>(flags.begin(), flags.end()));
+    };
+    put_flags(throttled_);
+    put_flags(seededChips);
+    put_flags(absent_);
     w.putU64(episodes);
 }
 
@@ -228,12 +226,14 @@ PowerCapGovernor::loadState(StateReader &r)
             std::to_string(demandEwma.size()));
     demandEwma = ewma;
     caps = snap_caps;
-    for (std::size_t i = 0; i < flags.size(); ++i)
-        throttled_[i] = flags[i] != 0;
-    for (std::size_t i = 0; i < seeded_flags.size(); ++i)
-        seededChips[i] = seeded_flags[i] != 0;
-    for (std::size_t i = 0; i < absent_flags.size(); ++i)
-        absent_[i] = absent_flags[i] != 0;
+    const auto get_flags = [](const std::vector<std::uint64_t> &from,
+                              std::vector<char> &into) {
+        for (std::size_t i = 0; i < from.size(); ++i)
+            into[i] = from[i] != 0;
+    };
+    get_flags(flags, throttled_);
+    get_flags(seeded_flags, seededChips);
+    get_flags(absent_flags, absent_);
     episodes = r.getU64();
 }
 

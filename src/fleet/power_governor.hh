@@ -87,6 +87,12 @@ class PowerCapGovernor
     void update(const std::vector<Measurement> &chip_power);
 
     /**
+     * Mean power per chip with every chip measured over the same
+     * @p elapsed span: update() on {chip_power[i], elapsed}.
+     */
+    void update(const std::vector<Watt> &chip_power, Seconds elapsed);
+
+    /**
      * Convenience overload for full-interval telemetry: every
      * measurement is treated as covering a complete interval (the
      * pre-admission-control behaviour, unchanged).
@@ -101,12 +107,19 @@ class PowerCapGovernor
      * Re-marking present lets the chip compete again from its frozen
      * EWMA. Takes effect at the next update().
      */
-    void setAbsent(unsigned chip, bool absent);
+    void setAbsent(unsigned chip, bool absent)
+    {
+        absent_.at(chip) = absent;
+    }
 
     /** Current cap of one chip (W); infinite when disabled. */
     Watt cap(unsigned chip) const;
-    /** True if the chip is closed to new placements. */
-    bool throttled(unsigned chip) const;
+    /**
+     * True if the chip is closed to new placements. Unchecked: @p chip
+     * must be below numChips() (the flag vectors are sized at
+     * construction and size-checked in loadState).
+     */
+    bool throttled(unsigned chip) const { return throttled_[chip] != 0; }
     unsigned throttledChips() const;
     /** Times any chip transitioned into the throttled state. */
     std::uint64_t throttleEpisodes() const { return episodes; }
@@ -130,13 +143,22 @@ class PowerCapGovernor
     Config cfg;
     std::vector<Watt> demandEwma;
     std::vector<Watt> caps;
-    std::vector<bool> throttled_;
-    std::vector<bool> seededChips;
+    /**
+     * Per-chip flags, one byte each (not std::vector<bool>), so shard
+     * tasks may write the absent flags of disjoint chip spans
+     * concurrently: packed bits would put neighbouring spans into one
+     * shared word whenever a span is not a multiple of 64 chips.
+     */
+    std::vector<char> throttled_;
+    std::vector<char> seededChips;
     /** Quarantined/self-testing chips: capacity the budget ignores. */
-    std::vector<bool> absent_;
+    std::vector<char> absent_;
     std::uint64_t episodes = 0;
 
     void redistribute();
+    /** update() over @p count chips; @p at(i) is chip i's Measurement. */
+    template <typename MeasurementAt>
+    void updateWith(std::size_t count, MeasurementAt at);
 };
 
 } // namespace vspec

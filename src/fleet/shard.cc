@@ -37,6 +37,10 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
         fatal("ShardedFleet slice and horizon must be positive");
     if (cfg.placementCandidates == 0)
         fatal("ShardedFleet needs at least one placement candidate");
+    if (cfg.placementCandidates > kMaxCandidates ||
+        cfg.numChips > kChipMask)
+        fatal("ShardedFleet supports at most ", kMaxCandidates,
+              " placement candidates and ", kChipMask, " chips");
     if (cfg.riskTau <= 0.0)
         fatal("ShardedFleet risk tau must be positive");
     if (cfg.marginQuantMv <= 0.0)
@@ -63,6 +67,11 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
     coldConfig.numChips = cfg.numChips;
 
     const unsigned n = cfg.numChips;
+    sessionSalt_ = mix64(cfg.seed, 0xAFF1ULL);
+    numCandidates_ = std::min(cfg.placementCandidates, n);
+    // Placement slots for one arrival per chip per slice, reserved
+    // once: each growth would free a large block into the heap.
+    slots_.reserve(n);
     railMv_.assign(n, m.nominalVdd);
     minSafeMv_.assign(n, 0.0);
     earnedFloorMv_.assign(n, m.nominalVdd);
@@ -101,8 +110,18 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
         shard.rng = Rng(mix64(mix64(cfg.seed, 0x5A4DULL), s));
         if (cfg.exactLatencyValidation)
             shard.metrics.enableExactHistogram();
-        if (chaos_)
-            shard.ledger.cover(*chaos_, shard.lo, shard.hi);
+        if (!chaos_)
+            continue;
+        shard.ledger.cover(*chaos_, shard.lo, shard.hi);
+        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
+            const auto kind = FailureDomainKind(kk);
+            if (chaos_->domainSize(kind) == 0)
+                continue;
+            shard.missBase[kk] = chaos_->domainOf(kind, shard.lo);
+            shard.misses[kk].assign(chaos_->domainOf(kind, shard.hi - 1) -
+                                        shard.missBase[kk] + 1,
+                                    0);
+        }
     }
     if (chaos_) {
         for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
@@ -371,20 +390,64 @@ ShardedFleet::advanceShardBatched(Shard &shard, Seconds slice)
     }
 }
 
-ShardedFleet::PlacementChoice
-ShardedFleet::choosePlacement(const TrafficArrival &arrival,
-                              const JobClass &cls, bool force)
+std::uint64_t
+ShardedFleet::candidates(const TrafficArrival &arrival,
+                         PlacementSlot &slot) const
 {
-    const ScaleChipModel &m = cfg.chip;
-    const unsigned n = cfg.numChips;
-    const unsigned num_candidates =
-        std::min(cfg.placementCandidates, n);
     // The session's home chip is candidate 0; alternates are further
     // hashes of the same session key, so a session's candidate set is
     // stable across the whole run (cache/session affinity).
-    const std::uint64_t key =
-        mix64(mix64(cfg.seed, 0xAFF1ULL), arrival.session);
+    const std::uint64_t key = mix64(sessionSalt_, arrival.session);
+    const bool risk_aware = cfg.policy == SchedulerPolicy::riskAware;
+    for (unsigned k = 0; k < numCandidates_; ++k) {
+        const unsigned c = candidateChip(key, k);
+        if (chipOffline(c)) {
+            // Quarantined capacity is absent, not "busy".
+            slot.candidates[k] = kNoCandidate;
+            continue;
+        }
+        const bool blocked = governor_.throttled(c) ||
+                             (risk_aware && risk_[c] > cfg.riskThreshold);
+        slot.candidates[k] = c | (blocked ? kBlocked : 0u);
+    }
+    return key;
+}
 
+void
+ShardedFleet::findCandidates(ExperimentPool &pool)
+{
+    // Fixed chunks, never derived from the worker count; each arrival's
+    // slots are a pure function of frozen state, so any split fills the
+    // buffer identically.
+    constexpr std::size_t chunk = 4096;
+    const std::size_t n = arrivalBuf.size();
+    slots_.resize(n);
+    slots_.reserve(n + retryQueue_.size());
+    const auto fill = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t j = lo; j < hi; ++j)
+            candidates(arrivalBuf[j], slots_[j]);
+    };
+    if (n <= chunk) {
+        fill(0, n);
+        return;
+    }
+    const auto outcomes = pool.run(
+        mix64(cfg.seed, sliceIndex_), (n + chunk - 1) / chunk,
+        [&](ExperimentTaskContext &ctx) {
+            fill(ctx.index * chunk, std::min(n, (ctx.index + 1) * chunk));
+            return 0;
+        });
+    for (const auto &outcome : outcomes) {
+        if (!outcome.ok())
+            fatal("placement candidate pass failed: ", outcome.error);
+    }
+}
+
+ShardedFleet::PlacementChoice
+ShardedFleet::choosePlacement(const PlacementSlot &slot,
+                              const JobClass &cls) const
+{
+    const ScaleChipModel &m = cfg.chip;
     PlacementChoice out;
     bool have_best = false;
     double best_score = 0.0;
@@ -393,13 +456,11 @@ ShardedFleet::choosePlacement(const TrafficArrival &arrival,
     double fallback_score = 0.0;
     bool have_fallback = false;
 
-    for (unsigned k = 0; k < num_candidates; ++k) {
-        const unsigned c = unsigned(mix64(key, k) % n);
-        if (chipOffline(c))
-            continue; // quarantined capacity is absent, not "busy"
-        const bool throttled = governor_.throttled(c);
-        const bool risky = cfg.policy == SchedulerPolicy::riskAware &&
-                           risk_[c] > cfg.riskThreshold;
+    for (unsigned k = 0; k < numCandidates_; ++k) {
+        const std::uint32_t word = slot.candidates[k];
+        if (word == kNoCandidate)
+            continue;
+        const unsigned c = word & kChipMask;
 
         double score = 0.0;
         switch (cfg.policy) {
@@ -424,7 +485,7 @@ ShardedFleet::choosePlacement(const TrafficArrival &arrival,
             fallback_score = score;
             have_fallback = true;
         }
-        if (throttled || risky)
+        if (word & kBlocked)
             continue;
         if (!have_best || score > best_score) {
             if (have_best && out.best != c) {
@@ -449,34 +510,35 @@ ShardedFleet::choosePlacement(const TrafficArrival &arrival,
         out.found = true;
         if (!have_best)
             out.best = fallback;
-        return out;
     }
-    // Every candidate is offline. The watchdog's force-place breaks
-    // session affinity and probes linearly for any open chip; a
-    // regular placement defers instead (never onto quarantine).
-    if (force) {
-        const unsigned home = unsigned(mix64(key, 0) % n);
-        for (unsigned j = 0; j < n; ++j) {
-            const unsigned c = (home + j) % n;
-            if (!chipOffline(c)) {
-                out.found = true;
-                out.best = c;
-                return out;
-            }
+    return out;
+}
+
+ShardedFleet::PlacementChoice
+ShardedFleet::forcePlacement(std::uint64_t key) const
+{
+    PlacementChoice out;
+    const unsigned n = cfg.numChips;
+    const unsigned home = candidateChip(key, 0);
+    for (unsigned j = 0; j < n; ++j) {
+        const unsigned c = (home + j) % n;
+        if (!chipOffline(c)) {
+            out.found = true;
+            out.best = c;
+            break;
         }
     }
     return out;
 }
 
 ShardedFleet::PlaceOutcome
-ShardedFleet::placeOne(const TrafficArrival &arrival, unsigned attempt,
-                       Seconds effective_start, bool force,
-                       Seconds &latency_sum, std::uint64_t &placed)
+ShardedFleet::placeOne(const TrafficArrival &arrival, const JobClass &cls,
+                       const PlacementChoice &choice, std::uint32_t slot,
+                       unsigned attempt, Seconds effective_start,
+                       bool force, Seconds &latency_sum,
+                       std::uint64_t &placed)
 {
     const ScaleChipModel &m = cfg.chip;
-    const JobClass &cls = traffic_.classes().at(arrival.classIndex);
-    const PlacementChoice choice =
-        choosePlacement(arrival, cls, force);
     if (!choice.found)
         return PlaceOutcome::noCapacity;
     unsigned c = choice.best;
@@ -533,25 +595,27 @@ ShardedFleet::placeOne(const TrafficArrival &arrival, unsigned attempt,
     latency_sum += job_latency;
     ++placed;
 
-    if (chaos_ && completion > arrival.deadline) {
-        // Blast-radius attribution: the miss is charged to every
-        // failure domain with an active event over the serving chip.
-        chaos_->forEachActiveDomain(
-            c, [&](FailureDomainKind kind, unsigned domain) {
-                ++domainMisses_[std::size_t(kind)][domain];
-            });
+    // The serving chip's shard task records the completion and charges
+    // a miss to every failure domain with an active event over the
+    // chip (blast-radius attribution); log only what it will read.
+    const bool completed = completion <= cfg.horizon;
+    const bool late = completion > arrival.deadline;
+    if (completed || (late && chaos_)) {
+        slots_[slot].record = {completion - arrival.arrival,
+                               c | (completed ? kCompleted : 0u) |
+                                   (late ? kLate : 0u) |
+                                   (cls.latencyCritical ? kCritical : 0u),
+                               kEndOfLog};
+        Shard &shard = shards[shardOf(c)];
+        if (completed)
+            shard.metrics.addJobEnergy(job_energy);
+        if (shard.logTail == kEndOfLog)
+            shard.logHead = slot;
+        else
+            slots_[shard.logTail].record.next = slot;
+        shard.logTail = slot;
     }
-
-    if (completion <= cfg.horizon) {
-        Job job;
-        job.id = arrival.id;
-        job.classIndex = arrival.classIndex;
-        job.arrival = arrival.arrival;
-        job.serviceTime = arrival.serviceTime;
-        job.deadline = arrival.deadline;
-        shards[shardOf(c)].metrics.recordCompletion(
-            job, cls, completion, job_energy);
-    } else {
+    if (!completed) {
         ++pendingAtEnd_;
         if (arrival.deadline < cfg.horizon)
             ++pendingViolations_;
@@ -577,9 +641,18 @@ ShardedFleet::processRetries(Seconds &latency_sum,
             traffic_.classes().at(entry.arrival.classIndex);
         const bool force =
             now_ - entry.arrival.arrival >= cfg.retryWatchdog;
-        const PlaceOutcome outcome = placeOne(
-            entry.arrival, entry.attempt, now_, force, latency_sum,
-            placed);
+        const std::uint32_t slot = std::uint32_t(slots_.size());
+        slots_.emplace_back();
+        const std::uint64_t key = candidates(entry.arrival, slots_[slot]);
+        PlacementChoice choice = choosePlacement(slots_[slot], cls);
+        // Every candidate is offline. The watchdog's force-place breaks
+        // session affinity; a regular retry defers again instead
+        // (never onto quarantine).
+        if (!choice.found && force)
+            choice = forcePlacement(key);
+        const PlaceOutcome outcome =
+            placeOne(entry.arrival, cls, choice, slot, entry.attempt,
+                     now_, force, latency_sum, placed);
         if (outcome == PlaceOutcome::placed) {
             if (force)
                 ++watchdogForced_;
@@ -610,12 +683,29 @@ ShardedFleet::placeArrivals()
     // arrivals and the watchdog may owe them a forced placement.
     processRetries(latency_sum, placed);
 
-    for (const TrafficArrival &arrival : arrivalBuf) {
+    // Every arrival's candidates are known before the commit starts, so
+    // the backlog and rail lines it scores are fetched a few arrivals
+    // ahead (measured faster than letting the loop miss on them).
+    constexpr std::uint32_t prefetch_ahead = 8;
+    const std::uint32_t n = std::uint32_t(arrivalBuf.size());
+    for (std::uint32_t j = 0; j < n; ++j) {
+        if (j + prefetch_ahead < n) {
+            const PlacementSlot &ahead = slots_[j + prefetch_ahead];
+            for (unsigned k = 0; k < numCandidates_; ++k) {
+                const std::uint32_t word = ahead.candidates[k];
+                if (word == kNoCandidate)
+                    continue;
+                __builtin_prefetch(&backlog_[word & kChipMask]);
+                __builtin_prefetch(&railMv_[word & kChipMask]);
+            }
+        }
+        const TrafficArrival &arrival = arrivalBuf[j];
         const JobClass &cls =
             traffic_.classes().at(arrival.classIndex);
         ++submitted_;
-        const PlaceOutcome outcome = placeOne(
-            arrival, 0, arrival.arrival, false, latency_sum, placed);
+        const PlaceOutcome outcome =
+            placeOne(arrival, cls, choosePlacement(slots_[j], cls), j, 0,
+                     arrival.arrival, false, latency_sum, placed);
         if (outcome == PlaceOutcome::retry) {
             ++retries_;
             retryQueue_.push_back(
@@ -639,6 +729,80 @@ ShardedFleet::placeArrivals()
 }
 
 void
+ShardedFleet::recordCompletions(Shard &shard)
+{
+    // Commit order per shard keeps the order-sensitive Welford update
+    // bit-identical to recording at commit time. The chaos event
+    // picture is frozen for the slice.
+    for (std::uint32_t j = shard.logHead; j != kEndOfLog;) {
+        const CompletionRecord &rec = slots_[j].record;
+        const bool late = (rec.chipFlags & kLate) != 0;
+        if (rec.chipFlags & kCompleted)
+            shard.metrics.recordCompletion(
+                rec.latency, late, (rec.chipFlags & kCritical) != 0);
+        if (late && chaos_) {
+            chaos_->forEachActiveDomain(
+                rec.chipFlags & kChipMask,
+                [&](FailureDomainKind kind, unsigned domain) {
+                    const std::size_t kk = std::size_t(kind);
+                    ++shard.misses[kk][domain - shard.missBase[kk]];
+                    shard.missed = true;
+                });
+        }
+        j = rec.next;
+    }
+    shard.logHead = shard.logTail = kEndOfLog;
+}
+
+void
+ShardedFleet::runShardSlice(Shard &shard, Seconds governor_span)
+{
+    recordCompletions(shard);
+    if (cfg.sampling == SamplingMode::chipBatched)
+        advanceShardBatched(shard, cfg.slice);
+    else
+        advanceShard(shard, cfg.slice);
+
+    // The per-chip bookkeeping of the serial phase that follows, over
+    // this shard's span only (health and energy are final for the
+    // slice). Quarantined capacity is absent, not merely idle: the
+    // governor stops tracking its demand and redistributes its cap
+    // share.
+    const bool mark_absent = cfg.health.enabled && governor_.enabled();
+    shard.online = 0;
+    for (unsigned i = shard.lo; i < shard.hi; ++i) {
+        const bool offline = chipOffline(i);
+        if (mark_absent)
+            governor_.setAbsent(i, offline);
+        shard.online += offline ? 0 : 1;
+    }
+    if (governor_span > 0.0) {
+        for (unsigned i = shard.lo; i < shard.hi; ++i) {
+            const Joule delta = energyJ_[i] - energyMark_[i];
+            measureBuf[i] = delta / governor_span;
+            energyMark_[i] = energyJ_[i];
+        }
+    }
+}
+
+void
+ShardedFleet::foldMisses()
+{
+    for (Shard &shard : shards) {
+        if (!shard.missed)
+            continue;
+        for (unsigned kk = 0; kk < kNumFailureDomainKinds; ++kk) {
+            std::vector<std::uint64_t> &from = shard.misses[kk];
+            for (std::size_t d = 0; d < from.size(); ++d) {
+                domainMisses_[kk][shard.missBase[kk] + d] += from[d];
+                from[d] = 0;
+            }
+        }
+        shard.missed = false;
+    }
+}
+
+void
 ShardedFleet::foldDrained()
 {
     // Serial phase: collect the work each shard drained out of chips
@@ -646,18 +810,13 @@ ShardedFleet::foldDrained()
     // fleet's remaining online chips (the scale-path analogue of the
     // cold path's requeue). If the whole fleet is offline the backlog
     // is held until capacity returns.
+    unsigned online = 0;
     for (Shard &shard : shards) {
         requeueBacklog_ += shard.sliceDrained;
         shard.sliceDrained = 0.0;
+        online += shard.online;
     }
-    if (requeueBacklog_ <= 0.0)
-        return;
-    unsigned online = 0;
-    for (unsigned i = 0; i < cfg.numChips; ++i) {
-        if (!chipOffline(i))
-            ++online;
-    }
-    if (online == 0)
+    if (requeueBacklog_ <= 0.0 || online == 0)
         return;
     const Seconds share = requeueBacklog_ / double(online);
     for (unsigned i = 0; i < cfg.numChips; ++i) {
@@ -727,30 +886,6 @@ ShardedFleet::audit()
 }
 
 void
-ShardedFleet::updateGovernor()
-{
-    if (!governor_.enabled())
-        return;
-    // Quarantined capacity is absent, not merely idle: the governor
-    // stops tracking its demand and redistributes its cap share.
-    if (cfg.health.enabled) {
-        for (unsigned i = 0; i < cfg.numChips; ++i)
-            governor_.setAbsent(i, chipOffline(i));
-    }
-    const Seconds span = now_ - governorMark_;
-    if (span + 1e-9 < governor_.config().interval)
-        return;
-    measureBuf.resize(cfg.numChips);
-    for (unsigned i = 0; i < cfg.numChips; ++i) {
-        const Joule delta = energyJ_[i] - energyMark_[i];
-        measureBuf[i] = {span > 0.0 ? delta / span : 0.0, span};
-        energyMark_[i] = energyJ_[i];
-    }
-    governor_.update(measureBuf);
-    governorMark_ = now_;
-}
-
-void
 ShardedFleet::run(Seconds duration, ExperimentPool &pool)
 {
     const double slices_exact = duration / cfg.slice;
@@ -760,32 +895,43 @@ ShardedFleet::run(Seconds duration, ExperimentPool &pool)
         fatal("ShardedFleet::run duration ", duration,
               " is not a whole number of ", cfg.slice, " s slices");
 
+    if (governor_.enabled() && measureBuf.size() != cfg.numChips)
+        measureBuf.assign(cfg.numChips, 0.0);
     for (std::uint64_t s = 0; s < slices; ++s) {
         // Serial phase 0: advance the correlated-event clock so every
-        // shard task sees a consistent, already-settled event picture.
+        // later phase sees a consistent, already-settled event picture.
         if (chaos_)
             chaos_->beginSlice(cfg.slice);
 
-        // Serial phase 1: traffic and placement, fed by last slice's
-        // latency EWMA.
+        // Serial phase 1: traffic, fed by last slice's latency EWMA.
         arrivalBuf.clear();
         traffic_.generateSlice(now_, now_ + cfg.slice,
                                latencySeeded_ ? latencyEwma_ : 0.0,
                                arrivalBuf);
+
+        // Placement: a parallel candidate pass over the frozen health,
+        // throttle and risk state, then the serial commit (scoring and
+        // the backlog updates that later arrivals read).
+        findCandidates(pool);
         placeArrivals();
+
+        // The governor measures at the end of this slice when a whole
+        // interval has passed. span equals now_ - governorMark_ after
+        // the now_ update below, bit for bit, and is positive.
+        const Seconds span = now_ + cfg.slice - governorMark_;
+        const bool measure = governor_.enabled() &&
+                             span + 1e-9 >= governor_.config().interval;
 
         // Parallel phase: one pool task per shard; each task touches
         // only its shard struct and its [lo, hi) spans of the hot
-        // arrays. The batch seed is consumed by the pool's per-task
-        // context, not by the shards (their RNGs are construction
-        // state), so any value keeps determinism; derive it anyway.
+        // arrays, the governor flags and measureBuf. The batch seed is
+        // consumed by the pool's per-task context, not by the shards
+        // (their RNGs are construction state), so any value keeps
+        // determinism; derive it anyway.
         const auto outcomes = pool.run(
             mix64(cfg.seed, sliceIndex_), shards.size(),
-            [this](ExperimentTaskContext &ctx) {
-                if (cfg.sampling == SamplingMode::chipBatched)
-                    advanceShardBatched(shards[ctx.index], cfg.slice);
-                else
-                    advanceShard(shards[ctx.index], cfg.slice);
+            [&](ExperimentTaskContext &ctx) {
+                runShardSlice(shards[ctx.index], measure ? span : 0.0);
                 return 0;
             });
         for (const auto &outcome : outcomes) {
@@ -796,10 +942,15 @@ ShardedFleet::run(Seconds duration, ExperimentPool &pool)
         now_ += cfg.slice;
         ++sliceIndex_;
 
-        // Serial phase 2: requeue drained work, then let the governor
-        // read the energy integrals over the surviving capacity.
+        // Serial phase 2: fold the shards' misses, requeue drained
+        // work, then let the governor redistribute over the surviving
+        // capacity.
+        foldMisses();
         foldDrained();
-        updateGovernor();
+        if (measure) {
+            governor_.update(measureBuf, span);
+            governorMark_ = now_;
+        }
         if (cfg.auditEverySlices > 0 &&
             sliceIndex_ % cfg.auditEverySlices == 0)
             audit();

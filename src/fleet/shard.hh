@@ -22,11 +22,29 @@
  * shards of chipsPerShard consecutive chips; each shard owns a private
  * RNG (forked from mix64(seed, shard index), drawn in chip order) and
  * a private FleetMetrics accumulator, and one ExperimentPool task
- * advances one shard. Because the shard cut depends only on
- * chipsPerShard — never on the worker-thread count — and all
- * cross-shard decisions (traffic, placement, the governor) run
- * serially between slices with shard merges folded in shard order, a
- * run is byte-identical for every --threads value.
+ * advances one shard. The shard cut depends only on chipsPerShard,
+ * never on the worker-thread count, so a run is byte-identical for
+ * every --threads value. One slice runs these phases, in this order:
+ *
+ *   1. serial: the chaos event clock, then traffic generation;
+ *   2. parallel: the candidate pass — each arrival's session hashes
+ *      to its candidate chips, filtered by health, throttle flags and
+ *      risk, in fixed chunks of the arrival buffer. All three stay
+ *      frozen until the shard tasks run, so every chunk reads the
+ *      state the serial commit would read;
+ *   3. serial: the commit — retries, then arrivals, scored against
+ *      the backlogs earlier commits grew; each placed job's energy is
+ *      added to the serving chip's shard, and the job is logged in
+ *      commit order to that shard;
+ *   4. parallel, one task per shard: record the logged completions
+ *      in commit order (so the order-sensitive latency stats match
+ *      recording at commit time) and count their
+ *      SLA misses per failure domain; advance the chips; then write
+ *      the span's governor absent flags, its governor telemetry on a
+ *      measurement slice, and its online count;
+ *   5. serial: fold the miss counts (integers: order-free), requeue
+ *      drained work (shard order), governor update (chip order), and
+ *      the audit.
  *
  * Behavioral chip model (per chip, per slice):
  *
@@ -50,7 +68,7 @@
  *     earned margin worth scheduling toward.
  *
  * Jobs come from a TrafficGenerator (diurnal + flash-crowd + closed
- * loop, session identities over millions of users) and are placed
+ * loop, session identities over millions of users) and are committed
  * serially with session affinity and power-of-two-choices: a job's
  * session hashes to a home chip plus alternate candidates, and the
  * configured SchedulerPolicy picks among them (round-robin = pure
@@ -65,12 +83,14 @@
  * (HealthConfig::step, fed the chip's DUEs from the SoA health arrays);
  * applyChipSlice only reacts to the edge it returns. Each shard credits
  * its own DomainLedger over its chip span, and report() folds the
- * ledgers in shard order and adds the SLA misses charged at placement.
+ * ledgers in shard order and adds the SLA misses the shard tasks
+ * charged to the serving chips' domains.
  */
 
 #ifndef VSPEC_FLEET_SHARD_HH
 #define VSPEC_FLEET_SHARD_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -152,7 +172,7 @@ struct ScaleFleetConfig
     std::uint64_t seed = 0xF1EE7ULL;
 
     SchedulerPolicy policy = SchedulerPolicy::roundRobin;
-    /** Power-of-two-choices candidates probed per placement. */
+    /** Power-of-two-choices candidates probed per placement (1-4). */
     unsigned placementCandidates = 3;
     /** Risk-aware: avoid chips scoring above this. */
     double riskThreshold = 5.0;
@@ -306,6 +326,53 @@ class ShardedFleet
     void restore(StateReader &r);
 
   private:
+    /** Most placement candidates one slot holds. */
+    static constexpr unsigned kMaxCandidates = 4;
+    /** Chip ids fit below the flag bits of a slot word. */
+    static constexpr std::uint32_t kChipMask = (1u << 29) - 1;
+    /** Candidate word: the chip is throttled or (risk-aware) risky. */
+    static constexpr std::uint32_t kBlocked = 1u << 31;
+    /** Candidate word: the chip is offline (dropped). */
+    static constexpr std::uint32_t kNoCandidate = 0xFFFFFFFFu;
+    /** Record word flags: completed within the horizon, completed
+     *  past its deadline, a latency-critical class. */
+    static constexpr std::uint32_t kCompleted = 1u << 29;
+    static constexpr std::uint32_t kLate = 1u << 30;
+    static constexpr std::uint32_t kCritical = 1u << 31;
+    /** Record link: the shard's last record this slice. */
+    static constexpr std::uint32_t kEndOfLog = 0xFFFFFFFFu;
+
+    /**
+     * One placed job as the serial commit logs it for the serving
+     * chip's shard: what FleetMetrics records of a completion, plus
+     * the chip its SLA miss is charged over. The commit adds the job's
+     * energy to the shard's metrics itself (one add, in the same
+     * order), which keeps the record at 16 bytes.
+     */
+    struct CompletionRecord
+    {
+        /** Completion time minus arrival (s). */
+        Seconds latency;
+        /** Serving chip | kCompleted/kLate/kCritical. */
+        std::uint32_t chipFlags;
+        /** Slot of the shard's next record, or kEndOfLog. */
+        std::uint32_t next;
+    };
+    /**
+     * One placement's slot, reused every slice (16 bytes): the
+     * candidate pass writes the job's candidates into it, and the
+     * serial commit overwrites them with the job's completion record,
+     * linked into the serving chip's shard log in commit order.
+     */
+    union PlacementSlot
+    {
+        /** Candidate k: chip | kBlocked, or kNoCandidate. */
+        std::uint32_t candidates[kMaxCandidates];
+        CompletionRecord record;
+    };
+    static_assert(sizeof(PlacementSlot) == sizeof(CompletionRecord),
+                  "the candidates must fit in the record's bytes");
+
     struct Shard
     {
         unsigned lo = 0;
@@ -328,6 +395,20 @@ class ShardedFleet
         Seconds offlineTime = 0.0;
         /** Work drained this slice; folded serially after advance. */
         Seconds sliceDrained = 0.0;
+        /** Schedulable chips after this slice's advance. */
+        unsigned online = 0;
+
+        /** First and last slot of this slice's completion log. */
+        std::uint32_t logHead = kEndOfLog;
+        std::uint32_t logTail = kEndOfLog;
+        /**
+         * SLA misses the completion records charged this slice, per
+         * kind over the shard's domain span starting at missBase;
+         * folded into domainMisses_ after the pool when missed is set.
+         */
+        DomainLedger::Misses misses;
+        std::array<unsigned, kNumFailureDomainKinds> missBase{};
+        bool missed = false;
 
         /** Blast-radius attribution over this shard's chips. */
         DomainLedger ledger;
@@ -406,8 +487,19 @@ class ShardedFleet
 
     /** Reused arrival buffer (cleared each slice). */
     std::vector<TrafficArrival> arrivalBuf;
-    /** Reused governor telemetry buffer. */
-    std::vector<PowerCapGovernor::Measurement> measureBuf;
+    /**
+     * One slot per arrival of arrivalBuf (filled by the parallel
+     * candidate pass), then one per retry attempted this slice.
+     */
+    std::vector<PlacementSlot> slots_;
+    /** Reused governor telemetry buffer (mean power per chip over the
+     *  span since the last measurement); shard tasks fill their spans. */
+    std::vector<Watt> measureBuf;
+
+    /** mix64(seed, 0xAFF1): the salt of every session's key. */
+    std::uint64_t sessionSalt_ = 0;
+    /** Candidate slots per arrival: min(placementCandidates, chips). */
+    unsigned numCandidates_ = 0;
 
     void advanceShard(Shard &shard, Seconds slice);
 
@@ -436,6 +528,24 @@ class ShardedFleet
         return !healthSchedulable(health_[chip]);
     }
 
+    /** Session @p key's k-th candidate chip. */
+    unsigned candidateChip(std::uint64_t key, unsigned k) const
+    {
+        return unsigned(mix64(key, k) % cfg.numChips);
+    }
+    /**
+     * Fill @p slot with @p arrival's numCandidates_ candidates in k
+     * order: the chip id, or'ed with kBlocked when it is throttled or
+     * risky, or kNoCandidate when it is offline. Returns the session
+     * key. Pure: it reads only health, throttle flags and risk, which
+     * stay frozen while placement runs, so the pass over a slice's
+     * arrivals runs on the pool.
+     */
+    std::uint64_t candidates(const TrafficArrival &arrival,
+                             PlacementSlot &slot) const;
+    /** Fill the slots of arrivalBuf, in fixed chunks on the pool. */
+    void findCandidates(ExperimentPool &pool);
+
     struct PlacementChoice
     {
         bool found = false;
@@ -443,8 +553,12 @@ class ShardedFleet
         bool haveSecond = false;
         unsigned second = 0;
     };
-    PlacementChoice choosePlacement(const TrafficArrival &arrival,
-                                    const JobClass &cls, bool force);
+    /** Score one job's candidate @p slot (serial: reads backlog). */
+    PlacementChoice choosePlacement(const PlacementSlot &slot,
+                                    const JobClass &cls) const;
+    /** Watchdog fallback: the first online chip from the home chip of
+     *  session @p key on, ignoring affinity. */
+    PlacementChoice forcePlacement(std::uint64_t key) const;
 
     enum class PlaceOutcome
     {
@@ -454,16 +568,32 @@ class ShardedFleet
         /** No schedulable chip among the candidates. */
         noCapacity,
     };
+    /**
+     * Commit one placement: the retry check, backlog and hedging, and
+     * the serial counters. The completion itself is logged in the
+     * job's slot @p slot for the serving chip's shard.
+     */
     PlaceOutcome placeOne(const TrafficArrival &arrival,
+                          const JobClass &cls,
+                          const PlacementChoice &choice, std::uint32_t slot,
                           unsigned attempt, Seconds effective_start,
                           bool force, Seconds &latency_sum,
                           std::uint64_t &placed);
 
     void placeArrivals();
     void processRetries(Seconds &latency_sum, std::uint64_t &placed);
+    /**
+     * One shard's slice task: record the completions logged for it,
+     * advance its chips, then do its span of the per-chip bookkeeping
+     * (governor absent flags, the governor measurement when
+     * @p governor_span is positive, the online count).
+     */
+    void runShardSlice(Shard &shard, Seconds governor_span);
+    void recordCompletions(Shard &shard);
     /** Fold per-shard drained work and spread it over healthy chips. */
     void foldDrained();
-    void updateGovernor();
+    /** Fold the shards' per-slice SLA-miss counts into domainMisses_. */
+    void foldMisses();
     std::size_t shardOf(unsigned chip) const
     {
         return chip / cfg.chipsPerShard;

@@ -270,6 +270,106 @@ TEST(ShardedFleet, ChipBatchedRunIsIdenticalForEveryWorkerThreadCount)
     }
 }
 
+TEST(ShardedFleet, OddShardWidthIsThreadIdentical)
+{
+    // 100-chip shards are not a multiple of 64, so neighbouring shard
+    // tasks write the governor's absent flags in one 64-bit word, and
+    // rail groups, racks and thermal zones straddle shard boundaries,
+    // so two tasks charge SLA misses to the same domain. Over 4096
+    // arrivals a slice also split the candidate pass into chunks.
+    ScaleFleetConfig cfg =
+        scaleTestConfig(1000, SchedulerPolicy::marginAware);
+    cfg.chipsPerShard = 100;
+    cfg.horizon = 4.0;
+    cfg.traffic.baseArrivalsPerSecond = 50.0 * 1000.0;
+    cfg.traffic.users = 1000 * 50;
+    JobClass interactive;
+    interactive.name = "interactive";
+    interactive.arrivalWeight = 3.0;
+    interactive.meanServiceTime = 0.05;
+    interactive.minServiceTime = 0.01;
+    interactive.deadline = 0.4;
+    interactive.latencyCritical = true;
+    interactive.maxRetries = 2;
+    interactive.retryBackoff = 0.1;
+    interactive.hedge = true;
+    JobClass batch;
+    batch.name = "batch";
+    batch.meanServiceTime = 0.2;
+    batch.minServiceTime = 0.05;
+    batch.deadline = 2.0;
+    batch.maxRetries = 1;
+    batch.retryBackoff = 0.2;
+    cfg.traffic.classes = {interactive, batch};
+    cfg.chip.recoveryPenalty = 2.0;
+    cfg.governor.fleetBudget = 8.0 * 1000.0;
+    cfg.chaos.railGroupSize = 32;
+    cfg.chaos.railDroopsPerHour = 240.0;
+    cfg.chaos.railDroopMagnitudeMv = 45.0;
+    cfg.chaos.railDroopDuration = 1.5;
+    cfg.chaos.rackSize = 64;
+    cfg.chaos.dueStormsPerHour = 360.0;
+    cfg.chaos.dueStormRate = 3.0;
+    cfg.chaos.dueStormDuration = 2.0;
+    cfg.chaos.thermalZoneSize = 128;
+    cfg.chaos.thermalEventsPerHour = 120.0;
+    cfg.chaos.thermalMarginPenaltyMv = 25.0;
+    cfg.chaos.thermalDuration = 3.0;
+    cfg.health.enabled = true;
+    cfg.health.windowTau = 2.0;
+    cfg.health.degradeRate = 0.3;
+    cfg.health.quarantineRate = 1.0;
+    cfg.health.quarantineHold = 0.3;
+    cfg.health.selfTestDuration = 1.0;
+    cfg.health.probationDuration = 2.0;
+    cfg.retryWatchdog = 0.5;
+    cfg.auditEverySlices = 5;
+
+    std::vector<std::uint8_t> reference_bytes;
+    FleetReport reference;
+    for (unsigned threads : {1u, 4u, 8u}) {
+        ExperimentPool pool(threads);
+        ShardedFleet fleet(cfg);
+        fleet.run(6.0, pool);
+        EXPECT_TRUE(fleet.auditViolations().empty());
+        StateWriter w;
+        fleet.snapshot(w);
+        const FleetReport rep = fleet.report();
+        if (threads == 1) {
+            // Every path the shard tasks now own must be exercised.
+            EXPECT_GT(rep.quarantines, 0u);
+            EXPECT_GT(rep.retries, 0u);
+            EXPECT_GT(rep.hedgedJobs, 0u);
+            EXPECT_GT(rep.watchdogForced, 0u);
+            EXPECT_GT(rep.throttleEpisodes, 0u);
+            std::uint64_t misses = 0;
+            for (const FleetReport::DomainImpact &row : rep.domainImpact)
+                misses += row.slaMisses;
+            EXPECT_GT(misses, 0u);
+            reference_bytes = w.finish();
+            reference = rep;
+            continue;
+        }
+        EXPECT_EQ(w.finish(), reference_bytes) << threads << " workers";
+        expectIdenticalScaleReports(reference, rep);
+        EXPECT_EQ(rep.quarantines, reference.quarantines);
+        EXPECT_EQ(rep.retries, reference.retries);
+        EXPECT_EQ(rep.hedgedJobs, reference.hedgedJobs);
+        ASSERT_EQ(rep.domainImpact.size(), reference.domainImpact.size());
+        for (std::size_t i = 0; i < rep.domainImpact.size(); ++i) {
+            const FleetReport::DomainImpact &a = reference.domainImpact[i];
+            const FleetReport::DomainImpact &b = rep.domainImpact[i];
+            EXPECT_EQ(a.kind, b.kind);
+            EXPECT_EQ(a.domain, b.domain);
+            EXPECT_EQ(a.events, b.events);
+            EXPECT_EQ(a.dues, b.dues);
+            EXPECT_EQ(a.quarantines, b.quarantines);
+            EXPECT_EQ(a.slaMisses, b.slaMisses);
+            EXPECT_EQ(a.offlineCoreSeconds, b.offlineCoreSeconds);
+        }
+    }
+}
+
 TEST(ShardedFleet, ChipBatchedStatisticallyTracksExact)
 {
     // Pooled bucket-level Poisson draws thinned onto member chips must
