@@ -386,5 +386,78 @@ TEST(CacheArray, Bch2GeometryAndDecode)
     EXPECT_TRUE(read2.uncorrectable);
 }
 
+/** FNV-1a fold of bit-accurate reads: every event and data word. */
+struct ReadDigest
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t corrected = 0;
+    std::uint64_t uncorrectable = 0;
+
+    void fold(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * 5 voltages x 200 reads of the weakest L2D line under @p scheme,
+ * from the weakest cell's Vc down 150 mV, deep into the uncorrectable
+ * regime (the line holds 117 weak cells).
+ */
+ReadDigest
+weakestL2DataReads(EccScheme scheme)
+{
+    CacheGeometry geo = itanium9560::l2Data();
+    geo.eccScheme = scheme;
+    Rng rng(41);
+    CacheArray array(geo, noisyDist(), 400.0, rng);
+    const WeakLineInfo weakest = array.weakestLine();
+
+    std::vector<std::uint64_t> words(geo.wordsPerLine());
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = 0x9E3779B97F4A7C15ULL * (i + 1);
+    array.writeLine(weakest.set, weakest.way, words);
+
+    ReadDigest digest;
+    Rng draw(42);
+    for (Millivolt offset : {0.0, -40.0, -80.0, -120.0, -150.0}) {
+        for (int i = 0; i < 200; ++i) {
+            const LineReadResult read = array.readLine(
+                weakest.set, weakest.way, weakest.weakestVc + offset, draw);
+            for (const EccEvent &event : read.events) {
+                digest.fold(event.word);
+                digest.fold(std::uint64_t(event.status));
+                digest.corrected +=
+                    event.status == EccStatus::correctedSingle;
+                digest.uncorrectable +=
+                    event.status == EccStatus::uncorrectable;
+            }
+            for (std::uint64_t word : read.data)
+                digest.fold(word);
+        }
+    }
+    return digest;
+}
+
+/**
+ * The bit-accurate read path (flip sampling, codeword decode, event
+ * and data reporting) pinned to recorded values, corrected and
+ * uncorrectable words included, for both SECDED codecs.
+ */
+TEST(CacheArray, WeakestL2DataLineReadsArePinned)
+{
+    const ReadDigest hamming = weakestL2DataReads(EccScheme::hamming);
+    const ReadDigest hsiao = weakestL2DataReads(EccScheme::hsiao);
+    EXPECT_EQ(hamming.hash, 0xd520b8acef50438eULL);
+    EXPECT_EQ(hamming.corrected, 1981u);
+    EXPECT_EQ(hamming.uncorrectable, 256u);
+    EXPECT_EQ(hsiao.hash, 0xcd20a72b524e4df7ULL);
+    EXPECT_EQ(hsiao.corrected, 1974u);
+    EXPECT_EQ(hsiao.uncorrectable, 263u);
+}
+
 } // namespace
 } // namespace vspec
