@@ -31,6 +31,7 @@
 #define VSPEC_ECC_CODEC_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -83,6 +84,20 @@ class Codeword
   private:
     std::array<std::uint64_t, 2> words;
 };
+
+/**
+ * A set of codeword positions as two little-endian 64-bit words, laid
+ * out like Codeword's storage: the word-parallel codecs select bits
+ * with it and take the popcount parity of the result.
+ */
+using CodewordMask = std::array<std::uint64_t, 2>;
+
+/** Parity (0 or 1) of the bits of (w0, w1) selected by @p mask. */
+inline unsigned
+maskedParity(std::uint64_t w0, std::uint64_t w1, const CodewordMask &mask)
+{
+    return unsigned(std::popcount((w0 & mask[0]) ^ (w1 & mask[1])) & 1);
+}
 
 /** Outcome of decoding one codeword. */
 enum class EccStatus

@@ -48,9 +48,11 @@ HsiaoCodec::HsiaoCodec(unsigned data_bits)
     // Single-level syndrome match; no parity arbitration step.
     traits_.decodeLatencyCycles = 1;
 
-    // Assign columns lowest-weight-first (weight 3, then 5, ...), each
-    // weight class in increasing numeric order, to balance and minimize
-    // the parity trees per Hsiao's recipe.
+    // Column i is the syndrome of data bit i (odd weight >= 3, all
+    // distinct). Assign columns lowest-weight-first (weight 3, then 5,
+    // ...), each weight class in increasing numeric order, to balance
+    // and minimize the parity trees per Hsiao's recipe.
+    std::vector<unsigned> columns;
     columns.reserve(data_bits);
     for (unsigned w = 3; w <= r && columns.size() < data_bits; w += 2) {
         for (unsigned v = 0; v < (1u << r) && columns.size() < data_bits;
@@ -68,62 +70,67 @@ HsiaoCodec::HsiaoCodec(unsigned data_bits)
         columnToPosition[1u << j] = j + 1;
     for (unsigned i = 0; i < data_bits; ++i)
         columnToPosition[columns[i]] = r + i + 1;
+
+    // Row j of the parity-check matrix as a codeword mask: the unit
+    // column of check bit j plus every data position whose column has
+    // bit j set.
+    syndromeMasks.assign(r, CodewordMask{0, 0});
+    for (unsigned j = 0; j < r; ++j) {
+        syndromeMasks[j][0] |= std::uint64_t(1) << j;
+        for (unsigned i = 0; i < data_bits; ++i) {
+            if ((columns[i] >> j) & 1) {
+                const unsigned pos = r + i;
+                syndromeMasks[j][pos >> 6] |= std::uint64_t(1) << (pos & 63);
+            }
+        }
+    }
+    dataMask = data_bits >= 64 ? ~std::uint64_t(0)
+                               : (std::uint64_t(1) << data_bits) - 1;
 }
 
 Codeword
 HsiaoCodec::encode(std::uint64_t data) const
 {
-    Codeword word;
-    for (unsigned i = 0; i < dataBits(); ++i)
-        word.setBit(numCheck + i, (data >> i) & 1);
-
-    for (unsigned j = 0; j < numCheck; ++j) {
-        bool parity = false;
-        for (unsigned i = 0; i < dataBits(); ++i) {
-            if ((columns[i] >> j) & 1)
-                parity ^= word.bit(numCheck + i);
-        }
-        word.setBit(j, parity);
-    }
-    return word;
+    // Data at positions r.., then each check bit as the parity of its
+    // row (the check positions are still zero).
+    data &= dataMask;
+    std::uint64_t w0 = data << numCheck;
+    const std::uint64_t w1 = data >> (64 - numCheck);
+    for (unsigned j = 0; j < numCheck; ++j)
+        w0 |= std::uint64_t(maskedParity(w0, w1, syndromeMasks[j])) << j;
+    return Codeword::fromWords(w0, w1);
 }
 
 unsigned
-HsiaoCodec::computeSyndrome(const Codeword &word) const
+HsiaoCodec::computeSyndrome(std::uint64_t w0, std::uint64_t w1) const
 {
-    // Syndrome = XOR of the columns of all set codeword positions.
+    // Syndrome = XOR of the columns of all set codeword positions, one
+    // row parity per bit.
     unsigned syndrome = 0;
-    for (unsigned j = 0; j < numCheck; ++j) {
-        if (word.bit(j))
-            syndrome ^= 1u << j;
-    }
-    for (unsigned i = 0; i < dataBits(); ++i) {
-        if (word.bit(numCheck + i))
-            syndrome ^= columns[i];
-    }
+    for (unsigned j = 0; j < numCheck; ++j)
+        syndrome |= maskedParity(w0, w1, syndromeMasks[j]) << j;
     return syndrome;
 }
 
 std::uint64_t
-HsiaoCodec::extractData(const Codeword &word) const
+HsiaoCodec::extractData(std::uint64_t w0, std::uint64_t w1) const
 {
-    std::uint64_t data = 0;
-    for (unsigned i = 0; i < dataBits(); ++i) {
-        if (word.bit(numCheck + i))
-            data |= std::uint64_t(1) << i;
-    }
-    return data;
+    // The data field is contiguous at positions r .. r+dataBits-1: one
+    // funnel shift across the word boundary (3 <= r < 64).
+    return ((w0 >> numCheck) | (w1 << (64 - numCheck))) & dataMask;
 }
 
 DecodeResult
 HsiaoCodec::decode(const Codeword &word) const
 {
-    const unsigned syndrome = computeSyndrome(word);
+    const std::uint64_t w0 = word.word(0);
+    const std::uint64_t w1 = word.word(1);
+    const unsigned syndrome = computeSyndrome(w0, w1);
 
     DecodeResult result;
     if (syndrome == 0) {
         result.status = EccStatus::ok;
-        result.data = extractData(word);
+        result.data = extractData(w0, w1);
         return result;
     }
 
@@ -134,17 +141,18 @@ HsiaoCodec::decode(const Codeword &word) const
     // >= 3-bit error (never miscorrected).
     const unsigned pos_plus_one = columnToPosition[syndrome];
     if ((std::popcount(syndrome) & 1) && pos_plus_one != 0) {
-        Codeword fixed = word;
-        fixed.flipBit(pos_plus_one - 1);
+        const unsigned pos = pos_plus_one - 1;
+        const std::uint64_t flip = std::uint64_t(1) << (pos & 63);
         result.status = EccStatus::correctedSingle;
-        result.correctedBit = pos_plus_one - 1;
+        result.correctedBit = pos;
         result.correctedCount = 1;
-        result.data = extractData(fixed);
+        result.data = pos < 64 ? extractData(w0 ^ flip, w1)
+                               : extractData(w0, w1 ^ flip);
         return result;
     }
 
     result.status = EccStatus::uncorrectable;
-    result.data = extractData(word);
+    result.data = extractData(w0, w1);
     return result;
 }
 

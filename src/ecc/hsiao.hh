@@ -34,6 +34,14 @@ namespace vspec
  * 1<<j), data bit i at position r+i (odd-weight column). There is no
  * dedicated overall-parity position; double-error detection comes from
  * the odd-column property.
+ *
+ * Encode and decode are word-parallel. The constructor turns each row
+ * of the parity-check matrix into a two-word codeword mask (check bit
+ * j's unit column plus every data position whose column has bit j
+ * set); syndrome bit j is the popcount parity of word & mask. Positions
+ * at or above codewordBits() lie outside every mask and the data mask,
+ * so stray bits there are ignored. The data field is contiguous, so
+ * extraction is one funnel shift of the two words right by r.
  */
 class HsiaoCodec : public EccCodec
 {
@@ -46,13 +54,15 @@ class HsiaoCodec : public EccCodec
 
   private:
     unsigned numCheck;  // r: check bits = codeword positions 0..r-1.
-    /** Syndrome column of data bit i (odd weight >= 3, all distinct). */
-    std::vector<unsigned> columns;
     /** Syndrome value -> codeword position + 1 (0 = no such column). */
     std::vector<unsigned> columnToPosition;
+    /** Row j of the parity-check matrix as a codeword mask. */
+    std::vector<CodewordMask> syndromeMasks;
+    /** Low dataBits() bits set. */
+    std::uint64_t dataMask = 0;
 
-    unsigned computeSyndrome(const Codeword &word) const;
-    std::uint64_t extractData(const Codeword &word) const;
+    unsigned computeSyndrome(std::uint64_t w0, std::uint64_t w1) const;
+    std::uint64_t extractData(std::uint64_t w0, std::uint64_t w1) const;
 };
 
 /** Shared (72, 64) Hsiao codec instance. */

@@ -32,8 +32,22 @@ namespace vspec
 /**
  * SECDED codec for a configurable data width (up to 64 bits).
  *
- * The codec precomputes the data/check bit position maps at
- * construction so encode/decode are straight bit manipulation.
+ * Encode and decode are word-parallel. The constructor precomputes,
+ * over the two 64-bit words of a Codeword:
+ *
+ *   - one coverage mask per Hamming check bit k: every position in
+ *     [1, codewordBits) with bit k set, the check position 2^k itself
+ *     included. Syndrome bit k is the popcount parity of word & mask;
+ *   - one mask of all positions in [0, codewordBits), whose parity is
+ *     the overall-parity check. Bits at or above codewordBits() lie
+ *     outside every mask and are ignored;
+ *   - the runs of consecutive data positions (the gaps between powers
+ *     of two, split at bit 64 so no run straddles the two words). Data
+ *     extraction and placement are one shift-and-mask per run — six
+ *     for the (72, 64) code.
+ *
+ * A corrected single error is applied as one XOR on the raw words
+ * before extraction.
  */
 class SecdedCodec : public EccCodec
 {
@@ -45,13 +59,31 @@ class SecdedCodec : public EccCodec
     DecodeResult decode(const Codeword &word) const override;
 
   private:
-    /** Codeword position (1-based Hamming position) of each data bit. */
-    std::vector<unsigned> dataPositions;
-    /** Hamming positions of the check bits (powers of two). */
-    std::vector<unsigned> checkPositions;
+    /** Consecutive data bits stored at consecutive codeword positions. */
+    struct DataRun
+    {
+        /** Codeword position of the run's first bit. */
+        unsigned position;
+        /** Data bit stored at that position. */
+        unsigned dataBit;
+        /** Run length in bits (< 64). */
+        unsigned length;
 
-    unsigned computeSyndrome(const Codeword &word) const;
-    std::uint64_t extractData(const Codeword &word) const;
+        std::uint64_t fieldMask() const
+        {
+            return (std::uint64_t(1) << length) - 1;
+        }
+    };
+
+    /** Coverage mask of Hamming check bit k (position 2^k). */
+    std::vector<CodewordMask> checkMasks;
+    /** Every position in [0, codewordBits). */
+    CodewordMask allPositions{0, 0};
+    /** Data runs in ascending position (and data bit) order. */
+    std::vector<DataRun> dataRuns;
+
+    unsigned computeSyndrome(std::uint64_t w0, std::uint64_t w1) const;
+    std::uint64_t extractData(std::uint64_t w0, std::uint64_t w1) const;
 };
 
 /** Shared (72, 64) codec instance for cache data paths. */

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -212,6 +213,318 @@ TEST(CodecEnum, BlockCodecSampledPatternsToRadiusPlusOne)
             } else {
                 ASSERT_EQ(out.status, EccStatus::uncorrectable)
                     << k << "-bit block pattern, trial " << trial;
+            }
+        }
+    }
+}
+
+/**
+ * Bit-serial reference for the two SECDED codecs: the position-by-
+ * position encode/decode the word-parallel codecs replaced, kept here
+ * verbatim so the equivalence test below pins every DecodeResult field
+ * against it.
+ */
+class BitSerialSecded
+{
+  public:
+    BitSerialSecded(EccScheme scheme, unsigned data_bits)
+        : hsiao(scheme == EccScheme::hsiao), dataBits(data_bits)
+    {
+        if (hsiao)
+            buildHsiao();
+        else
+            buildHamming();
+    }
+
+    unsigned codewordBits() const { return cwBits; }
+
+    Codeword encode(std::uint64_t data) const
+    {
+        return hsiao ? encodeHsiao(data) : encodeHamming(data);
+    }
+
+    DecodeResult decode(const Codeword &word) const
+    {
+        return hsiao ? decodeHsiao(word) : decodeHamming(word);
+    }
+
+  private:
+    bool hsiao;
+    unsigned dataBits;
+    unsigned cwBits = 0;
+    // Hamming: 1-based positions of data and check bits.
+    std::vector<unsigned> dataPositions;
+    std::vector<unsigned> checkPositions;
+    // Hsiao: r check bits at 0..r-1, data column i at position r+i.
+    unsigned numCheck = 0;
+    std::vector<unsigned> columns;
+    std::vector<unsigned> columnToPosition;
+
+    static bool isPowerOfTwo(unsigned x)
+    {
+        return x != 0 && (x & (x - 1)) == 0;
+    }
+
+    void buildHamming()
+    {
+        unsigned r = 0;
+        while ((1u << r) < dataBits + r + 1)
+            ++r;
+        const unsigned hamming_len = dataBits + r;
+        cwBits = hamming_len + 1;
+        for (unsigned pos = 1; pos <= hamming_len; ++pos) {
+            if (isPowerOfTwo(pos))
+                checkPositions.push_back(pos);
+            else
+                dataPositions.push_back(pos);
+        }
+    }
+
+    Codeword encodeHamming(std::uint64_t data) const
+    {
+        Codeword word;
+        for (unsigned i = 0; i < dataBits; ++i)
+            word.setBit(dataPositions[i], (data >> i) & 1);
+        for (unsigned check : checkPositions) {
+            bool parity = false;
+            for (unsigned pos = 1; pos < cwBits; ++pos) {
+                if ((pos & check) && !isPowerOfTwo(pos))
+                    parity ^= word.bit(pos);
+            }
+            word.setBit(check, parity);
+        }
+        bool overall = false;
+        for (unsigned pos = 1; pos < cwBits; ++pos)
+            overall ^= word.bit(pos);
+        word.setBit(0, overall);
+        return word;
+    }
+
+    std::uint64_t extractHamming(const Codeword &word) const
+    {
+        std::uint64_t data = 0;
+        for (unsigned i = 0; i < dataBits; ++i) {
+            if (word.bit(dataPositions[i]))
+                data |= std::uint64_t(1) << i;
+        }
+        return data;
+    }
+
+    DecodeResult decodeHamming(const Codeword &word) const
+    {
+        unsigned syndrome = 0;
+        for (unsigned check : checkPositions) {
+            bool parity = false;
+            for (unsigned pos = 1; pos < cwBits; ++pos) {
+                if (pos & check)
+                    parity ^= word.bit(pos);
+            }
+            if (parity)
+                syndrome |= check;
+        }
+        bool overall = false;
+        for (unsigned pos = 0; pos < cwBits; ++pos)
+            overall ^= word.bit(pos);
+
+        DecodeResult result;
+        if (syndrome == 0 && !overall) {
+            result.status = EccStatus::ok;
+            result.data = extractHamming(word);
+        } else if (syndrome == 0) {
+            result.status = EccStatus::correctedSingle;
+            result.correctedBit = 0;
+            result.correctedCount = 1;
+            result.data = extractHamming(word);
+        } else if (overall && syndrome < cwBits) {
+            Codeword fixed = word;
+            fixed.flipBit(syndrome);
+            result.status = EccStatus::correctedSingle;
+            result.correctedBit = syndrome;
+            result.correctedCount = 1;
+            result.data = extractHamming(fixed);
+        } else {
+            result.status = EccStatus::uncorrectable;
+            result.data = extractHamming(word);
+        }
+        return result;
+    }
+
+    void buildHsiao()
+    {
+        auto odd_columns = [](unsigned r) {
+            unsigned count = 0;
+            for (unsigned v = 0; v < (1u << r); ++v) {
+                const unsigned w = unsigned(std::popcount(v));
+                if (w >= 3 && (w & 1))
+                    ++count;
+            }
+            return count;
+        };
+        unsigned r = 3;
+        while (odd_columns(r) < dataBits)
+            ++r;
+        numCheck = r;
+        cwBits = r + dataBits;
+        for (unsigned w = 3; w <= r && columns.size() < dataBits; w += 2) {
+            for (unsigned v = 0; v < (1u << r) && columns.size() < dataBits;
+                 ++v) {
+                if (unsigned(std::popcount(v)) == w)
+                    columns.push_back(v);
+            }
+        }
+        columnToPosition.assign(1u << r, 0);
+        for (unsigned j = 0; j < r; ++j)
+            columnToPosition[1u << j] = j + 1;
+        for (unsigned i = 0; i < dataBits; ++i)
+            columnToPosition[columns[i]] = r + i + 1;
+    }
+
+    Codeword encodeHsiao(std::uint64_t data) const
+    {
+        Codeword word;
+        for (unsigned i = 0; i < dataBits; ++i)
+            word.setBit(numCheck + i, (data >> i) & 1);
+        for (unsigned j = 0; j < numCheck; ++j) {
+            bool parity = false;
+            for (unsigned i = 0; i < dataBits; ++i) {
+                if ((columns[i] >> j) & 1)
+                    parity ^= word.bit(numCheck + i);
+            }
+            word.setBit(j, parity);
+        }
+        return word;
+    }
+
+    std::uint64_t extractHsiao(const Codeword &word) const
+    {
+        std::uint64_t data = 0;
+        for (unsigned i = 0; i < dataBits; ++i) {
+            if (word.bit(numCheck + i))
+                data |= std::uint64_t(1) << i;
+        }
+        return data;
+    }
+
+    DecodeResult decodeHsiao(const Codeword &word) const
+    {
+        unsigned syndrome = 0;
+        for (unsigned j = 0; j < numCheck; ++j) {
+            if (word.bit(j))
+                syndrome ^= 1u << j;
+        }
+        for (unsigned i = 0; i < dataBits; ++i) {
+            if (word.bit(numCheck + i))
+                syndrome ^= columns[i];
+        }
+
+        DecodeResult result;
+        if (syndrome == 0) {
+            result.status = EccStatus::ok;
+            result.data = extractHsiao(word);
+            return result;
+        }
+        const unsigned pos_plus_one = columnToPosition[syndrome];
+        if ((std::popcount(syndrome) & 1) && pos_plus_one != 0) {
+            Codeword fixed = word;
+            fixed.flipBit(pos_plus_one - 1);
+            result.status = EccStatus::correctedSingle;
+            result.correctedBit = pos_plus_one - 1;
+            result.correctedCount = 1;
+            result.data = extractHsiao(fixed);
+            return result;
+        }
+        result.status = EccStatus::uncorrectable;
+        result.data = extractHsiao(word);
+        return result;
+    }
+};
+
+/** Decode @p cw with both implementations; every field must match. */
+void
+expectSameDecode(const EccCodec &codec, const BitSerialSecded &ref,
+                 const Codeword &cw)
+{
+    const DecodeResult got = codec.decode(cw);
+    const DecodeResult want = ref.decode(cw);
+    ASSERT_EQ(got.status, want.status)
+        << codec.traits().name << "/" << codec.dataBits() << " word "
+        << std::hex << cw.word(1) << ":" << cw.word(0);
+    ASSERT_EQ(got.data, want.data)
+        << codec.traits().name << "/" << codec.dataBits() << " word "
+        << std::hex << cw.word(1) << ":" << cw.word(0);
+    ASSERT_EQ(got.correctedBit, want.correctedBit)
+        << codec.traits().name << "/" << codec.dataBits();
+    ASSERT_EQ(got.correctedCount, want.correctedCount)
+        << codec.traits().name << "/" << codec.dataBits();
+}
+
+/** Random bits at or above @p cw_bits only (the ignored region). */
+Codeword
+junkAbove(Rng &rng, unsigned cw_bits)
+{
+    std::uint64_t w0 = rng.next(), w1 = rng.next();
+    if (cw_bits >= 64) {
+        w0 = 0;
+        w1 &= ~std::uint64_t(0) << (cw_bits - 64);
+    } else {
+        w0 &= ~std::uint64_t(0) << cw_bits;
+    }
+    // Never all-clear: the junk must actually be there.
+    w1 |= std::uint64_t(1) << 63;
+    return Codeword::fromWords(w0, w1);
+}
+
+/**
+ * The word-parallel SECDED codecs (mask/popcount syndromes, run-based
+ * data extraction) against the bit-serial reference: identical
+ * codewords from encode, and identical status, data, correctedBit and
+ * correctedCount from decode for every 0-, 1- and 2-bit flip pattern,
+ * a seeded sample of 3-bit patterns, data words carrying bits above
+ * the data width, and codewords with junk at or above codewordBits.
+ */
+TEST(CodecEnum, WordParallelSecdedMatchesBitSerialReference)
+{
+    for (EccScheme scheme : {EccScheme::hamming, EccScheme::hsiao}) {
+        for (unsigned width : {32u, 64u}) {
+            const EccCodec &codec = wordCodec(scheme, width);
+            const BitSerialSecded ref(scheme, width);
+            ASSERT_EQ(codec.codewordBits(), ref.codewordBits());
+            const unsigned n = codec.codewordBits();
+            Rng rng(0x5EC0DE + width + unsigned(scheme) * 1009);
+
+            // Encode ignores data bits above the width, like the
+            // reference.
+            for (unsigned i = 0; i < 64; ++i) {
+                const std::uint64_t raw = rng.next();
+                ASSERT_EQ(codec.encode(raw), ref.encode(raw))
+                    << schemeName(scheme) << "/" << width;
+            }
+
+            const auto words = probeWords(width, 4);
+            ASSERT_GE(words.size(), 8u);
+            for (std::uint64_t data : words) {
+                const Codeword clean = codec.encode(data);
+                ASSERT_EQ(clean, ref.encode(data))
+                    << schemeName(scheme) << "/" << width;
+                auto check = [&](const std::vector<unsigned> &pattern) {
+                    if (HasFatalFailure())
+                        return;
+                    Codeword cw = clean;
+                    for (unsigned pos : pattern)
+                        cw.flipBit(pos);
+                    expectSameDecode(codec, ref, cw);
+                    const Codeword junk = junkAbove(rng, n);
+                    expectSameDecode(
+                        codec, ref,
+                        Codeword::fromWords(cw.word(0) | junk.word(0),
+                                            cw.word(1) | junk.word(1)));
+                };
+                for (unsigned k = 0; k <= 2; ++k)
+                    enumerate::forEachCombination(n, k, check);
+                for (unsigned i = 0; i < 400; ++i)
+                    check(enumerate::sampleCombination(rng, n, 3));
+                if (HasFatalFailure())
+                    return;
             }
         }
     }
