@@ -16,6 +16,8 @@ CacheArray::CacheArray(const CacheGeometry &geometry,
                        Rng &rng)
     : geo(geometry),
       eccCodec(&wordCodec(geometry.eccScheme, geometry.eccDataBits)),
+      cellsPerLine(std::uint64_t(geometry.wordsPerLine()) *
+                   eccCodec->codewordBits()),
       cells(geometry.name, geometry.totalCells(), dist, v_floor,
             /*aging_headroom=*/0.5 * dist.sigmaRandom, rng),
       store(geometry.numLines() * geometry.wordsPerLine()),
@@ -33,11 +35,10 @@ CacheArray::CacheArray(const CacheGeometry &geometry,
     // indices never change after sampling (aging shifts only voltages),
     // so the index is built exactly once.
     const auto &weak = cells.weakCells();
-    const std::uint64_t per_line = geo.cellsPerLine();
     for (std::size_t i = 0; i < weak.size();) {
-        const std::uint64_t line = weak[i].cellIndex / per_line;
+        const std::uint64_t line = weak[i].cellIndex / cellsPerLine;
         std::size_t j = i + 1;
-        while (j < weak.size() && weak[j].cellIndex / per_line == line)
+        while (j < weak.size() && weak[j].cellIndex / cellsPerLine == line)
             ++j;
         lineWeakIndex[line] = {std::uint32_t(i), std::uint32_t(j)};
         i = j;
@@ -62,7 +63,7 @@ std::uint64_t
 CacheArray::lineCellBase(std::uint64_t set, unsigned way) const
 {
     checkLocation(set, way);
-    return lineIndex(set, way) * geo.cellsPerLine();
+    return lineIndex(set, way) * cellsPerLine;
 }
 
 void
@@ -392,7 +393,7 @@ CacheArray::aggregateEventRates(Millivolt v_eff, double &sum_correctable,
         double p_corr = 0.0, p_uncorr = 0.0;
         foldSpanProbabilities(base_cell + begin, base_cell + end,
                               phiScratch.data() + begin,
-                              line * geo.cellsPerLine(), p_corr, p_uncorr);
+                              line * cellsPerLine, p_corr, p_uncorr);
         // Correctable: expected events add. Uncorrectable: the per-line
         // probability accumulates as a hazard rate, the same
         // approximation the core traffic model's batched mode uses.

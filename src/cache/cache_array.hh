@@ -247,6 +247,12 @@ class CacheArray
     CacheGeometry geo;
     /** Shared immutable codec from the registry (never null). */
     const EccCodec *eccCodec;
+    /**
+     * geo.cellsPerLine(), resolved once from eccCodec: the per-access
+     * cell-base arithmetic must not go through the codec registry,
+     * whose lookup takes a process-wide lock.
+     */
+    std::uint64_t cellsPerLine;
     SramArray cells;
     /** Stored codewords, wordsPerLine() per line. */
     std::vector<Codeword> store;
