@@ -6,13 +6,16 @@
  * of the bit cells. Reads come in two flavors:
  *
  *  - readLine(): bit-accurate — samples individual cell failures,
- *    applies them to the stored codeword, and runs the real SECDED
- *    decoder. Used by the functional cache paths and the sweep engines.
+ *    applies them to the stored codeword, and decodes it with the
+ *    array's codec from the zoo (geometry().eccScheme). Used by the
+ *    functional cache paths (Cache::access, the firmware self-test).
  *
- *  - probeLine(): aggregate — computes per-word single/multi flip
- *    probabilities analytically from the line's weak cells and samples
- *    event *counts* binomially. Used by the hardware ECC monitor, which
- *    issues tens of thousands of probes per control interval.
+ *  - probeLine(): aggregate — computes per-word correctable and
+ *    uncorrectable probabilities analytically from the line's weak
+ *    cells and samples event *counts* binomially. Used by the hardware
+ *    ECC monitor, which issues tens of thousands of probes per control
+ *    interval; the calibration sweeps draw the same counts from
+ *    weakLineProbabilities() through sampleProbe().
  *
  * Both paths are driven by the same weak-cell population, so they agree
  * statistically (a property test pins this).
@@ -59,6 +62,17 @@ struct WeakLineInfo
     std::uint32_t cellEnd = 0;
 };
 
+/** One weak line's exact per-access event probabilities. */
+struct WeakLineProbabilities
+{
+    std::uint64_t set = 0;
+    unsigned way = 0;
+    /** Expected correctable events per access. */
+    double pCorrectable = 0.0;
+    /** Probability that an access raises an uncorrectable event. */
+    double pUncorrectable = 0.0;
+};
+
 /** Result of a bit-accurate line read. */
 struct LineReadResult
 {
@@ -89,9 +103,15 @@ class CacheArray
     void writeLine(std::uint64_t set, unsigned way,
                    const std::vector<std::uint64_t> &words);
 
-    /** Store a repeating test pattern into the line. */
+    /** Store a repeating test pattern into the line (one encode). */
     void writePattern(std::uint64_t set, unsigned way,
                       std::uint64_t pattern);
+
+    /**
+     * Store one line of data words, encoded once, into every line with
+     * a weak cell (deconfigured or not): the store a sweep leaves.
+     */
+    void writeWeakLines(const std::vector<std::uint64_t> &words);
 
     /** Bit-accurate read of a full line at effective supply v_eff. */
     LineReadResult readLine(std::uint64_t set, unsigned way,
@@ -105,6 +125,25 @@ class CacheArray
     ProbeStats probeLine(std::uint64_t set, unsigned way, Millivolt v_eff,
                          std::uint64_t n_accesses, Rng &rng,
                          SamplingMode mode = SamplingMode::exact) const;
+
+    /**
+     * The draw rule of probeLine and the calibration sweeps: whole
+     * correctable events plus a binomial remainder (p_correctable can
+     * exceed 1), then one binomial for the uncorrectables.
+     */
+    static ProbeStats sampleProbe(double p_correctable,
+                                  double p_uncorrectable,
+                                  std::uint64_t n_accesses, Rng &rng);
+
+    /**
+     * Exact event probabilities at v_eff of every line with a weak
+     * cell, in ascending line order, into @p out (cleared first). The
+     * LUT is bypassed: an exact-mode hit needs the exact voltage, so
+     * the values equal lineEventProbabilities' bit for bit.
+     */
+    void weakLineProbabilities(Millivolt v_eff,
+                               std::vector<WeakLineProbabilities> &out)
+        const;
 
     /**
      * Expected per-access probability that a read of this line raises
@@ -236,9 +275,10 @@ class CacheArray
      * Serialize the array's dynamic state: the SRAM population (aged
      * critical voltages), the stored codewords (run-length encoded —
      * the store is dominated by repeated pattern/zero encodings) and
-     * the per-line deconfiguration flags. The probability/encode LUTs
-     * are derived caches and are re-derived, never serialized;
-     * loadState drops them so no stale pre-restore entry survives.
+     * the per-line deconfiguration flags. The probability LUT and the
+     * aggregate-rate and weakest-line memos are derived caches and are
+     * re-derived, never serialized; loadState drops them so no stale
+     * pre-restore entry survives.
      */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r);
@@ -268,24 +308,6 @@ class CacheArray
      * line -> weak-cells query from a binary search into an array load.
      */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> lineWeakIndex;
-
-    /**
-     * Encode cache: calibration sweeps rewrite the same march patterns
-     * and template words millions of times; caching the encodings keeps
-     * the sweep cost proportional to line count, not bit count. A
-     * fixed-size two-slot open-addressing table (overwrite-on-collision
-     * eviction) bounds the footprint — the old unordered_map memo
-     * cleared itself wholesale at 2^16 entries, invalidating any
-     * outstanding reference.
-     */
-    struct EncodeSlot
-    {
-        std::uint64_t data = 0;
-        Codeword encoded;
-        bool valid = false;
-    };
-    static constexpr std::size_t encodeCacheSlots = 4096;
-    mutable std::vector<EncodeSlot> encodeCache;
 
     /**
      * Per-line failure-probability LUT: direct-mapped open-addressing
@@ -337,36 +359,17 @@ class CacheArray
     mutable std::uint64_t weakestMemoGeneration = 0;
     mutable bool weakestMemoValid = false;
 
-    /**
-     * Largest correction radius the allocation-free probability fold
-     * supports (covers every word-level codec in the zoo; the block
-     * codec never reaches this path).
-     */
-    static constexpr unsigned maxFoldRadius = 3;
-
-    const Codeword &encodeCached(std::uint64_t data) const;
-
     /** Shared LUT lookup; quantized selects the bucket-center eval. */
     void cachedProbabilities(std::uint64_t set, unsigned way,
                              Millivolt v_eff, bool quantized,
                              double &p_correctable,
                              double &p_uncorrectable) const;
 
-    /** The exact fold over one line's weak cells (no caching). */
-    void computeLineEventProbabilities(std::uint64_t set, unsigned way,
-                                       WeakCellSpan span, Millivolt v_eff,
+    /** Uncached exact fold of a line's weak cells from cell @p base. */
+    void computeLineEventProbabilities(WeakCellSpan span,
+                                       std::uint64_t base, Millivolt v_eff,
                                        double &p_correctable,
                                        double &p_uncorrectable) const;
-
-    /**
-     * The same per-word fold over cells [first, last) with failure
-     * probabilities already evaluated into @p probs (one per cell).
-     * Used by the whole-array aggregate fold.
-     */
-    void foldSpanProbabilities(const WeakCell *first, const WeakCell *last,
-                               const double *probs, std::uint64_t base,
-                               double &p_correctable,
-                               double &p_uncorrectable) const;
 
     std::uint64_t lineIndex(std::uint64_t set, unsigned way) const;
     void checkLocation(std::uint64_t set, unsigned way) const;
