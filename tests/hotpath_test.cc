@@ -2,8 +2,9 @@
  * @file
  * Tests for the fault-sampling hot path: weak-cell span views, the
  * per-line probability LUT (exactness, quantization error bound, aging
- * invalidation), the bounded encode cache, and the chip-batched
- * sampling mode's statistical equivalence to the exact path.
+ * invalidation), writeLine round trips over 2^16+ distinct words, and
+ * the chip-batched sampling mode's statistical equivalence to the
+ * exact path.
  */
 
 #include <cmath>
