@@ -311,14 +311,24 @@ TEST(CacheArray, ProbBucketIndexEdgeConvention)
     EXPECT_EQ(CacheArray::probBucketIndex(0.125 + 1e-9), 1);
     EXPECT_EQ(CacheArray::probBucketIndex(-0.125 - 1e-9), -1);
     EXPECT_EQ(CacheArray::probBucketIndex(-0.125 + 1e-9), 0);
+
+    // A bucket's center is a multiple of q and maps back to the bucket.
+    for (const Millivolt v : {0.0, 0.125, -0.125, 0.37, -0.37, 600.125,
+                              -600.125, 612.3456, -612.3456}) {
+        const Millivolt c = CacheArray::probBucketCenter(v);
+        EXPECT_EQ(c, q * double(CacheArray::probBucketIndex(v))) << v;
+        EXPECT_EQ(CacheArray::probBucketIndex(c),
+                  CacheArray::probBucketIndex(v))
+            << v;
+    }
 }
 
 /**
- * Exact and quantized probability paths must agree on the bucket of
+ * Exact and quantized probability lookups must agree on the bucket of
  * the same v_eff: a voltage just below an edge and the center of its
  * bucket produce identical quantized probabilities, while the far
- * side of the edge may differ. This is the determinism the batched
- * sampling mode's byte-identical replay rests on.
+ * side of the edge may differ. This is the determinism the
+ * chip-batched sampling mode's byte-identical replay rests on.
  */
 TEST(CacheArray, QuantizedProbabilitiesShareBucketAcrossEdge)
 {
@@ -328,25 +338,30 @@ TEST(CacheArray, QuantizedProbabilitiesShareBucketAcrossEdge)
     ASSERT_GT(weakest.weakCellCount, 0u);
     array.writePattern(weakest.set, weakest.way, 0);
 
+    // The quantized lookup: the exact lookup at the bucket center.
+    const auto quantized = [&](Millivolt v, double &pc, double &pu) {
+        array.lineEventProbabilities(weakest.set, weakest.way,
+                                     CacheArray::probBucketCenter(v), pc,
+                                     pu);
+    };
+
     constexpr Millivolt q = CacheArray::probQuantMv;
     const Millivolt center = 480.0;  // A bucket center (multiple of q).
     const Millivolt edge = center + q / 2;
+    EXPECT_EQ(CacheArray::probBucketCenter(edge - 1e-6), center);
+    EXPECT_EQ(CacheArray::probBucketCenter(edge), center + q);
 
     double pc_center, pu_center, pc_below, pu_below, pc_edge, pu_edge;
-    array.lineEventProbabilitiesQuantized(weakest.set, weakest.way,
-                                          center, pc_center, pu_center);
-    array.lineEventProbabilitiesQuantized(weakest.set, weakest.way,
-                                          edge - 1e-6, pc_below, pu_below);
-    array.lineEventProbabilitiesQuantized(weakest.set, weakest.way,
-                                          edge, pc_edge, pu_edge);
+    quantized(center, pc_center, pu_center);
+    quantized(edge - 1e-6, pc_below, pu_below);
+    quantized(edge, pc_edge, pu_edge);
 
     // Just-below-edge shares center's bucket bit-for-bit...
     EXPECT_EQ(pc_below, pc_center);
     EXPECT_EQ(pu_below, pu_center);
     // ...and the exact edge belongs to the upper bucket (center + q).
     double pc_up, pu_up;
-    array.lineEventProbabilitiesQuantized(weakest.set, weakest.way,
-                                          center + q, pc_up, pu_up);
+    quantized(center + q, pc_up, pu_up);
     EXPECT_EQ(pc_edge, pc_up);
     EXPECT_EQ(pu_edge, pu_up);
 }
