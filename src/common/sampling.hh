@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault-sampling fidelity knob shared by the sweep engines, the core
- * traffic model, the Simulator and the Fleet.
+ * Fault-sampling fidelity knob shared by the sweep engines, the
+ * Simulator and the Fleet.
  *
  * The exact mode reproduces the historical draw-for-draw behaviour:
  * one Poisson/binomial draw per weak line per tick (or per pattern
@@ -10,8 +10,8 @@
  * two closure properties of the error model — sums of independent
  * Poisson processes are Poisson, and "no uncorrectable on any line" is
  * the product of per-line survival probabilities — to replace the
- * per-line draws of an epoch at (quantized-)constant effective voltage
- * with a single draw from the aggregate. The sampled distributions are
+ * per-line draws of a tick (or a sweep pass), evaluated at quantized
+ * voltages, with a single draw from the aggregate. The sampled distributions are
  * unchanged (statistical regression tests pin this); the RNG draw
  * sequence is not, which is why chip-batched is opt-in.
  */
@@ -36,14 +36,12 @@ enum class SamplingMode
     exact = 0,
     /**
      * Chip/slice-granularity batching: one aggregate correctable draw
-     * and one survival draw per chip per tick when every array of the
-     * chip sits in the same quantization bucket (per-fleet-slice
-     * bucket pooling in ShardedFleet), with automatic demotion to
-     * per-array aggregate draws at bucket-center (quantized)
-     * probabilities when buckets differ. Statistically equivalent to
-     * exact, not draw-for-draw identical; events are attributed back
-     * to lines/cores by thinning and per-line ECC event log
-     * attribution is skipped.
+     * and one survival draw per chip per tick, summing each core's
+     * rates at its own domain's bucket-center (quantized) voltage
+     * (per-fleet-slice bucket pooling in ShardedFleet). Statistically
+     * equivalent to exact, not draw-for-draw identical; events are
+     * attributed back to lines/cores by thinning and per-line ECC
+     * event log attribution is skipped.
      *
      * Value 1 belonged to the retired per-array "batched" mode; the
      * value stays pinned at 2 so chip-batched snapshots still restore.

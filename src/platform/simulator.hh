@@ -79,19 +79,15 @@ class Simulator
     const Trace &trace() const { return trace_; }
 
     /**
-     * Switch every core's traffic-sampling fidelity (default exact).
-     * Chip-batched mode: on ticks where every domain's effective
-     * voltage falls in the same probability-LUT bucket, all cores'
-     * rates superpose into ONE whole-chip Poisson draw plus one
-     * survival draw, with events apportioned back to cores by largest
-     * remainder. Ticks whose domains straddle a bucket edge demote
-     * automatically to per-array batching: one aggregate
-     * Poisson/Bernoulli pair per array per tick instead of one pair per
-     * weak line. Same event-count distribution, different RNG draw
-     * sequence (see common/sampling.hh), so it is opt-in for
+     * Set the traffic-sampling fidelity (default exact). Chip-batched
+     * mode: every tick, each core's rates at its own domain's
+     * bucket-center voltage superpose into ONE whole-chip Poisson draw
+     * plus one survival draw, with events apportioned back to cores by
+     * largest remainder. Same event-count distribution, different RNG
+     * draw sequence (see common/sampling.hh), so it is opt-in for
      * sweep/fleet drivers that only consume aggregate statistics.
      */
-    void setSamplingMode(SamplingMode mode);
+    void setSamplingMode(SamplingMode mode) { samplingMode_ = mode; }
     SamplingMode samplingMode() const { return samplingMode_; }
 
     /** Advance the simulation. */
@@ -212,10 +208,10 @@ class Simulator
     void step(Seconds dt);
 
     /**
-     * Phases 3-4 of one tick in whole-chip aggregate form (see
-     * setSamplingMode): per-core rate accumulation, one chip-level
-     * Poisson + survival draw, then the monitor bursts in the same
-     * per-domain order as the exact path.
+     * Phases 3-4 of one chip-batched tick (see setSamplingMode):
+     * per-core rate accumulation, one chip-level Poisson + survival
+     * draw, then the monitor bursts in the same per-domain order as
+     * the exact path.
      */
     void stepChipAggregate(Seconds t, Seconds dt,
                            std::vector<std::uint64_t> &domainEvents);
