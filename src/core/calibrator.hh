@@ -60,12 +60,6 @@ class Calibrator
         /** Give up after sweeping this far below the start (mV). */
         Millivolt maxDepthMv = 350.0;
         /**
-         * Keep sweeping this much further down after the first error so
-         * ties at neighbouring levels resolve to the truly weakest line
-         * (0 = stop at the first erring level).
-         */
-        Millivolt confirmWindowMv = 0.0;
-        /**
          * Sweep fidelity: exact reproduces the historical per-pattern
          * draws; chipBatched aggregates each array's pass into one
          * draw pair (see common/sampling.hh).

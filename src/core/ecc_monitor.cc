@@ -64,11 +64,9 @@ EccMonitor::runProbes(Seconds dt, Millivolt v_eff, Rng &rng)
     if (n == 0)
         return stats;
 
-    if (cfg.cyclePatterns) {
-        patternIndex = (patternIndex + 1) % sweep::dataPatterns.size();
-        targetArray->writePattern(set_, way_,
-                                  sweep::dataPatterns[patternIndex]);
-    }
+    // Cycle through the march test patterns on rewrite.
+    patternIndex = (patternIndex + 1) % sweep::dataPatterns.size();
+    targetArray->writePattern(set_, way_, sweep::dataPatterns[patternIndex]);
 
     stats = targetArray->probeLine(set_, way_, v_eff, n, rng);
     accumulate(stats);

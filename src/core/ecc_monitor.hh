@@ -43,8 +43,6 @@ class EccMonitor : public CountingFeedbackSource
         double emergencyCeiling = 0.08;
         /** Minimum accesses before the emergency check can fire. */
         std::uint64_t emergencyMinSamples = 200;
-        /** Cycle through the march test patterns on rewrite. */
-        bool cyclePatterns = true;
     };
 
     EccMonitor();

@@ -55,10 +55,9 @@ MemEccMonitor::runProbes(Seconds dt, Millivolt v_eff, Rng &rng)
     if (n == 0)
         return stats;
 
-    const unsigned pattern =
-        cfg.cyclePatterns ? patternIndex : 0;
-    if (cfg.cyclePatterns)
-        patternIndex = (patternIndex + 1) % MemArray::kNumPatterns;
+    // Cycle through the march patterns between bursts.
+    const unsigned pattern = patternIndex;
+    patternIndex = (patternIndex + 1) % MemArray::kNumPatterns;
 
     stats = targetArray->probeLine(bank_, line_, v_eff, n, pattern,
                                    rng);

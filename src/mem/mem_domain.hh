@@ -53,8 +53,6 @@ class MemEccMonitor : public CountingFeedbackSource
         double emergencyCeiling = 0.08;
         /** Minimum accesses before the emergency check can fire. */
         std::uint64_t emergencyMinSamples = 200;
-        /** Cycle through the march patterns between bursts. */
-        bool cyclePatterns = true;
     };
 
     MemEccMonitor();
