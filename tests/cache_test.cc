@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,32 @@ TEST(CacheArray, DeconfigurationFlags)
     EXPECT_TRUE(array.isDeconfigured(5, 1));
     array.reconfigureLine(5, 1);
     EXPECT_FALSE(array.isDeconfigured(5, 1));
+}
+
+TEST(CacheArray, OutOfRangeLocationsPanic)
+{
+    // Every located access checks its bounds against the set count:
+    // one past the last set, one past the last way and a wrapped-around
+    // set all panic, through the tick's probability lookup and the
+    // deconfiguration query alike.
+    Rng rng(10);
+    const CacheArray array(smallGeometry(), quietDist(), 150.0, rng);
+    const std::uint64_t sets = array.geometry().numSets();
+    const unsigned ways = array.geometry().associativity;
+    double pc = 0.0, pu = 0.0;
+    EXPECT_DEATH(array.lineEventProbabilities(sets, 0, 700.0, pc, pu),
+                 "out of range");
+    EXPECT_DEATH(array.lineEventProbabilities(0, ways, 700.0, pc, pu),
+                 "out of range");
+    EXPECT_DEATH(array.lineEventProbabilities(UINT64_MAX, 0, 700.0, pc,
+                                              pu),
+                 "out of range");
+    EXPECT_DEATH((void)array.isDeconfigured(sets, 0), "out of range");
+    EXPECT_DEATH((void)array.isDeconfigured(0, ways), "out of range");
+    EXPECT_DEATH((void)array.isDeconfigured(UINT64_MAX, 0), "out of range");
+    // The last valid location still answers.
+    array.lineEventProbabilities(sets - 1, ways - 1, 700.0, pc, pu);
+    EXPECT_FALSE(array.isDeconfigured(sets - 1, ways - 1));
 }
 
 TEST(Cache, AddressMappingRoundTrip)

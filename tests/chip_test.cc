@@ -5,6 +5,7 @@
  */
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -97,21 +98,43 @@ TEST(Chip, CoreToCoreVariationExists)
 
 TEST(Chip, PowerAggregation)
 {
-    ChipConfig cfg;
-    cfg.seed = 4;
-    Chip chip(cfg);
-    for (unsigned i = 0; i < chip.numCores(); ++i) {
-        chip.core(i).setWorkload(
-            benchmarks::suiteSequence(Suite::coreMark));
+    // totalPower sums in one documented order: uncore, then cores by
+    // id, then mem domains. Cover the default tier, a bch2 chip (whose
+    // construction-time check-bit term is non-zero) and a chip with
+    // one mem domain.
+    ChipConfig base;
+    base.seed = 4;
+    ChipConfig bch2 = base;
+    bch2.eccScheme = EccScheme::bch2;
+    ChipConfig mem = base;
+    mem.memDomains.push_back(MemDomainConfig::dram());
+
+    std::vector<Watt> core0;
+    for (const ChipConfig &cfg : {base, bch2, mem}) {
+        Chip chip(cfg);
+        for (unsigned i = 0; i < chip.numCores(); ++i) {
+            chip.core(i).setWorkload(
+                benchmarks::suiteSequence(Suite::coreMark));
+        }
+        EXPECT_EQ(chip.extraEccCheckMbit() > 0.0,
+                  cfg.eccScheme == EccScheme::bch2);
+        Watt sum = chip.power().uncorePower();
+        for (unsigned i = 0; i < chip.numCores(); ++i) {
+            const Watt core = chip.corePower(i, 1.0);
+            EXPECT_GT(core, 0.0);
+            sum += core;
+        }
+        for (unsigned m = 0; m < chip.numMemDomains(); ++m) {
+            const Watt md = chip.memDomain(m).totalPower(chip.power());
+            EXPECT_GT(md, 0.0);
+            sum += md;
+        }
+        EXPECT_EQ(chip.totalPower(1.0), sum);
+        core0.push_back(chip.corePower(0, 1.0));
     }
-    const Watt total = chip.totalPower(1.0);
-    Watt sum = chip.power().uncorePower();
-    for (unsigned i = 0; i < chip.numCores(); ++i) {
-        const Watt core = chip.corePower(i, 1.0);
-        EXPECT_GT(core, 0.0);
-        sum += core;
-    }
-    EXPECT_NEAR(total, sum, 1e-9);
+    // The bch2 check cells cost power; a mem domain costs no core any.
+    EXPECT_GT(core0[1], core0[0]);
+    EXPECT_EQ(core0[2], core0[0]);
 }
 
 TEST(Chip, LoweringDomainVoltageLowersPower)

@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -168,6 +169,83 @@ TEST(Simulator, MonitorProbesShowUpInTrace)
     ASSERT_GE(sim.trace().samples().size(), 2u);
     // Probes ran at nominal: accesses recorded, no errors.
     EXPECT_EQ(sim.trace().samples().back().domainErrors[0], 0u);
+}
+
+TEST(Simulator, ExactTickIsPinned)
+{
+    // The exact tick end to end: an armed low-point die with recovery
+    // and fault injection, suite sequences on every core, the voltage
+    // virus on core 5, and a hook that swaps core 2's workload midway
+    // (phase 6 must see it within the same tick). Every value was
+    // generated by the tick that sampled each core's workload four
+    // times per tick; sampling once must not move a bit.
+    Chip chip(testConfig(12));
+    const auto setup = harness::armHardware(chip);
+    RecoveryManager::Config rc;
+    rc.checkpointInterval = 0.5;
+    rc.recoveryLatency = 0.1;
+    const auto recovery = harness::armRecovery(chip, rc);
+    FaultInjector::Config faults;
+    faults.bitFlipsPerHour = 7200.0;
+    faults.dueFlipsPerHour = 900.0;
+    faults.droopsPerHour = 3600.0;
+    faults.droopMagnitudeMv = 25.0;
+    faults.droopDuration = 0.05;
+    faults.monitorDropoutsPerHour = 1800.0;
+    faults.dropoutDuration = 0.2;
+    faults.stuckRegulatorsPerHour = 1800.0;
+    faults.stuckDuration = 0.2;
+    const auto injector = harness::armFaultInjector(chip, faults);
+
+    const Suite suites[] = {Suite::coreMark, Suite::specJbb2005,
+                            Suite::specInt2000, Suite::specFp2000};
+    for (unsigned c = 0; c < chip.numCores(); ++c) {
+        chip.core(c).setWorkload(
+            benchmarks::suiteSequence(suites[c % 4], 0.5));
+    }
+    chip.core(5).setWorkload(std::make_shared<VoltageVirusWorkload>(8));
+    // Start every rail 40 mV below its monitor line's first-error
+    // supply: the monitors raise emergencies and the deepest rails
+    // cross their logic floors, so recovery runs within the run.
+    for (const WeakLineTarget &target : setup.targets) {
+        VoltageRegulator &reg =
+            chip.domainOf(target.coreId).regulator();
+        reg.request(target.firstErrorVdd - 40.0);
+        reg.advance(1.0);
+    }
+
+    Simulator sim(chip, 0.002);
+    sim.attachControlSystem(setup.control.get());
+    sim.attachRecoveryManager(recovery.get());
+    sim.attachFaultInjector(injector.get());
+    sim.enableTrace(0.25);
+    bool swapped = false;
+    sim.addHook([&](Seconds t, Seconds) {
+        if (!swapped && t >= 1.0) {
+            chip.core(2).setWorkload(
+                benchmarks::suiteSequence(Suite::stress, 0.5), t);
+            swapped = true;
+        }
+    });
+    sim.run(2.0);
+
+    const std::uint64_t correctables[] = {1, 0, 0, 1, 0, 0, 2, 0};
+    const Joule core_energy[] = {
+        2.8809635967843144, 2.640807721691691,  4.0733173047998994,
+        3.3149740483859418, 3.5626149495611585, 3.4866055807400809,
+        2.2488851315381804, 2.2715720910165782,
+    };
+    for (unsigned c = 0; c < chip.numCores(); ++c) {
+        EXPECT_EQ(sim.coreCorrectableEvents(c), correctables[c]) << c;
+        EXPECT_EQ(sim.coreEnergy(c).energy(), core_energy[c]) << c;
+    }
+    EXPECT_EQ(sim.chipEnergy().energy(), 51.794548168484354);
+    const Millivolt setpoints[] = {685.0, 720.0, 710.0, 625.0};
+    for (unsigned d = 0; d < chip.numDomains(); ++d)
+        EXPECT_EQ(chip.domain(d).regulator().setpoint(), setpoints[d]) << d;
+    ASSERT_EQ(sim.trace().samples().size(), 8u);
+    EXPECT_EQ(sim.trace().samples().back().chipPower, 23.253579603586648);
+    EXPECT_EQ(recovery->recoveries(), 2u);
 }
 
 TEST(Trace, TsvRendering)
