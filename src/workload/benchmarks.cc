@@ -14,6 +14,7 @@ BenchmarkWorkload::BenchmarkWorkload(BenchmarkProfile profile)
         fatal("benchmark '", prof.name, "': activity must be in [0, 1]");
     if (prof.phasePeriod <= 0.0)
         fatal("benchmark '", prof.name, "': phase period must be positive");
+    phaseOffset = hash01(prof.name, 0x9999, 0, 0) * prof.phasePeriod;
 }
 
 WorkloadSample
@@ -23,10 +24,8 @@ BenchmarkWorkload::sampleAt(Seconds t) const
 
     // Slow program phases modulate activity and traffic around the
     // profile means. Deterministic per benchmark via a phase offset.
-    const double phase_offset =
-        hash01(prof.name, 0x9999, 0, 0) * prof.phasePeriod;
     const double phase = std::sin(2.0 * 3.14159265358979 *
-                                  (t + phase_offset) / prof.phasePeriod);
+                                  (t + phaseOffset) / prof.phasePeriod);
     const double mod = 1.0 + prof.phaseSwing * phase;
 
     sample.activity.meanActivity =

@@ -66,6 +66,8 @@ class BenchmarkWorkload : public Workload
 
   private:
     BenchmarkProfile prof;
+    /** Phase offset (s), deterministic per benchmark name. */
+    Seconds phaseOffset;
 };
 
 namespace benchmarks
