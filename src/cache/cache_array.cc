@@ -108,6 +108,7 @@ CacheArray::CacheArray(const CacheGeometry &geometry,
       lineWeakIndex(geometry.numLines(), {0, 0})
 {
     geo.validate();
+    setCount = geo.numSets();
     // Initialize every line with an encoded zero word so reads of
     // untouched lines decode cleanly.
     const Codeword zero = eccCodec->encode(0);
@@ -137,7 +138,7 @@ CacheArray::lineIndex(std::uint64_t set, unsigned way) const
 void
 CacheArray::checkLocation(std::uint64_t set, unsigned way) const
 {
-    if (set >= geo.numSets() || way >= geo.associativity)
+    if (set >= setCount || way >= geo.associativity)
         panic("cache '", geo.name, "': location (set ", set, ", way ", way,
               ") out of range");
 }

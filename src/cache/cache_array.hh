@@ -294,6 +294,8 @@ class CacheArray
      * whose lookup takes a process-wide lock.
      */
     std::uint64_t cellsPerLine;
+    /** geo.numSets(), kept so checkLocation does no division. */
+    std::uint64_t setCount = 0;
     SramArray cells;
     /** Stored codewords, wordsPerLine() per line. */
     std::vector<Codeword> store;
