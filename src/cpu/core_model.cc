@@ -269,14 +269,10 @@ Core::cachedRates(CacheArray &array, Millivolt v_eff) const
 }
 
 CoreTickResult
-Core::tickRates(Seconds t, Seconds dt, Millivolt v_eff,
+Core::tickRates(const WorkloadSample &sample, Seconds dt, Millivolt v_eff,
                 double &lambda_corr, double &lambda_uncorr)
 {
     CoreTickResult result;
-
-    const WorkloadSample sample = workloadSampleAt(t);
-    result.activity = sample.activity;
-
     if (crashed())
         return result;
 
@@ -308,14 +304,10 @@ Core::tickRates(Seconds t, Seconds dt, Millivolt v_eff,
 }
 
 CoreTickResult
-Core::tick(Seconds t, Seconds dt, Millivolt v_eff, Rng &rng,
-           EccEventLog *log)
+Core::tick(const WorkloadSample &sample, Seconds t, Seconds dt,
+           Millivolt v_eff, Rng &rng, EccEventLog *log)
 {
     CoreTickResult result;
-
-    const WorkloadSample sample = workloadSampleAt(t);
-    result.activity = sample.activity;
-
     if (crashed())
         return result;
 

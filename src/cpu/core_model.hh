@@ -51,8 +51,6 @@ struct CoreTickResult
 {
     std::uint64_t correctableEvents = 0;
     CrashReason crash = CrashReason::none;
-    /** Rail demand this tick. */
-    ActivityProfile activity;
 };
 
 class Core
@@ -126,21 +124,24 @@ class Core
     WorkloadSample workloadSampleAt(Seconds t) const;
 
     /**
-     * Advance the core by one tick at effective supply v_eff:
-     * Poisson-samples correctable/uncorrectable ECC events from the
-     * workload's L2 and register-file traffic, one draw pair per weak
-     * line (the exact sampling mode), and checks the logic floor.
-     * Events are appended to @p log if non-null.
+     * Advance the core by one tick at effective supply v_eff, with the
+     * workload demanding @p sample (workloadSampleAt(t), which the
+     * caller evaluates once per tick): Poisson-samples
+     * correctable/uncorrectable ECC events from the workload's L2 and
+     * register-file traffic, one draw pair per weak line (the exact
+     * sampling mode), and checks the logic floor. Events are appended
+     * to @p log if non-null.
      */
-    CoreTickResult tick(Seconds t, Seconds dt, Millivolt v_eff, Rng &rng,
+    CoreTickResult tick(const WorkloadSample &sample, Seconds t,
+                        Seconds dt, Millivolt v_eff, Rng &rng,
                         EccEventLog *log = nullptr);
 
     /**
      * Rate-only flavor of tick for the chip-batched sampling mode: the
-     * crash-floor check and activity accounting run exactly as in
-     * tick(), but instead of drawing events the core adds this tick's
-     * aggregate correctable rate and uncorrectable hazard (at the
-     * center of v_eff's bucket) to the two accumulators. The caller
+     * crash-floor check runs exactly as in tick(), but instead of
+     * drawing events the core adds this tick's aggregate correctable
+     * rate and uncorrectable hazard (at the center of v_eff's bucket)
+     * to the two accumulators. The caller
      * (every chip-batched Simulator tick) performs one superposed
      * Poisson draw and one survival draw for the whole chip, whatever
      * buckets its domains sit in, and attributes events back by
@@ -149,8 +150,9 @@ class Core
      * so steady-rail ticks cost three cache hits instead of a
      * weak-line walk.
      */
-    CoreTickResult tickRates(Seconds t, Seconds dt, Millivolt v_eff,
-                             double &lambda_corr, double &lambda_uncorr);
+    CoreTickResult tickRates(const WorkloadSample &sample, Seconds dt,
+                             Millivolt v_eff, double &lambda_corr,
+                             double &lambda_uncorr);
 
     bool crashed() const { return crashReason != CrashReason::none; }
     CrashReason crashReason_() const { return crashReason; }

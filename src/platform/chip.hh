@@ -139,13 +139,19 @@ class Chip
 
     /** Total chip power right now (cores at their rail voltages). */
     Watt totalPower(Seconds t) const;
+    /**
+     * Chip power from each core's power, indexed by core id. The one
+     * summation order: uncore, then cores by id, then mem domains.
+     */
+    Watt totalPower(const std::vector<Watt> &core_power) const;
     /** One core's power right now. */
     Watt corePower(unsigned core_id, Seconds t) const;
     /**
      * Check-bit SRAM this chip's codec tier carries per core beyond
-     * the Hamming SECDED baseline (Mbit; 0 for the default tier).
+     * the Hamming SECDED baseline (Mbit; 0 for the default tier),
+     * computed at construction.
      */
-    double extraEccCheckMbit() const;
+    double extraEccCheckMbit() const { return extraCheckMbit; }
 
     /**
      * Serialize every stateful chip component: the chip RNG, the PDN
@@ -169,6 +175,7 @@ class Chip
     /** 2 monitors per core: [2*i] = L2I, [2*i + 1] = L2D. */
     std::vector<std::unique_ptr<EccMonitor>> monitors_;
     std::vector<std::unique_ptr<MemDomain>> memDomains_;
+    double extraCheckMbit = 0.0;
 };
 
 } // namespace vspec

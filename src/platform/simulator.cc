@@ -90,9 +90,9 @@ Simulator::recordTraceSample()
         traceProbeAccum[d] = ProbeStats{};
     }
 
-    sample.chipPower = chip_->totalPower(currentTime);
     for (unsigned c = 0; c < chip_->numCores(); ++c)
         sample.corePower.push_back(chip_->corePower(c, currentTime));
+    sample.chipPower = chip_->totalPower(sample.corePower);
 
     sample.workloadErrors = traceWorkloadErrors;
     traceWorkloadErrors = 0;
@@ -113,13 +113,16 @@ Simulator::step(Seconds dt)
     if (injector)
         injector->tick(t, dt, injected);
 
-    // 1. Rail activity per domain from the resident workloads.
+    // 1. Sample every core's workload once; the samples set each
+    // domain's rail activity and drive phase 3.
+    coreSamples.resize(chip_->numCores());
     for (unsigned d = 0; d < chip_->numDomains(); ++d) {
         auto &dom = chip_->domain(d);
         ActivityProfile combined;
         for (Core *core : dom.cores()) {
-            combined =
-                combined.combinedWith(core->workloadSampleAt(t).activity);
+            WorkloadSample &sample = coreSamples[core->id()];
+            sample = core->workloadSampleAt(t);
+            combined = combined.combinedWith(sample.activity);
         }
         dom.setActivity(combined);
     }
@@ -134,15 +137,15 @@ Simulator::step(Seconds dt)
         traceWorkloadErrors += injection.events;
     }
     if (samplingMode_ == SamplingMode::chipBatched) {
-        stepChipAggregate(t, dt, domainEvents);
+        stepChipAggregate(dt, domainEvents);
     } else {
         for (unsigned d = 0; d < chip_->numDomains(); ++d) {
             auto &dom = chip_->domain(d);
             const Millivolt v_eff = dom.effectiveVoltage(chip_->pdn());
 
             for (Core *core : dom.cores()) {
-                const CoreTickResult result =
-                    core->tick(t, dt, v_eff, simRng, &log);
+                const CoreTickResult result = core->tick(
+                    coreSamples[core->id()], t, dt, v_eff, simRng, &log);
                 coreEvents[core->id()] += result.correctableEvents;
                 domainEvents[d] += result.correctableEvents;
                 traceWorkloadErrors += result.correctableEvents;
@@ -224,8 +227,11 @@ Simulator::step(Seconds dt)
         hook(t, dt);
 
     // 6. Regulator slew, PDN transient clock, energy accounting,
-    // telemetry.
+    // telemetry. Each core's power is evaluated once, after the hooks
+    // (which may have reassigned its workload), and the chip total is
+    // summed from those values.
     chip_->pdn().advance(dt);
+    corePowerScratch.resize(chip_->numCores());
     for (unsigned d = 0; d < chip_->numDomains(); ++d) {
         auto &dom = chip_->domain(d);
         dom.regulator().advance(dt);
@@ -240,8 +246,9 @@ Simulator::step(Seconds dt)
                 core_overhead +=
                     recovery->consumeStallFraction(core->id(), dt);
             }
-            coreEnergy_[core->id()].addSample(
-                chip_->corePower(core->id(), t), dt, core_overhead);
+            const Watt power = chip_->corePower(core->id(), t);
+            corePowerScratch[core->id()] = power;
+            coreEnergy_[core->id()].addSample(power, dt, core_overhead);
         }
     }
     for (unsigned m = 0; m < chip_->numMemDomains(); ++m) {
@@ -253,7 +260,7 @@ Simulator::step(Seconds dt)
         memEnergy_[m].addEnergy(md.accessStreamPower() * dt,
                                 EnergyCategory::memAccess);
     }
-    chipEnergy_.addSample(chip_->totalPower(t), dt);
+    chipEnergy_.addSample(chip_->totalPower(corePowerScratch), dt);
     if (recovery)
         chipEnergy_.addEnergy(recovery->consumePendingEnergy());
 
@@ -311,7 +318,7 @@ Simulator::apportionEvents(std::uint64_t total, double weight_sum)
 }
 
 void
-Simulator::stepChipAggregate(Seconds t, Seconds dt,
+Simulator::stepChipAggregate(Seconds dt,
                              std::vector<std::uint64_t> &domainEvents)
 {
     // 3. Per-core rate accumulation (no draws): crashed cores and
@@ -329,7 +336,7 @@ Simulator::stepChipAggregate(Seconds t, Seconds dt,
         domainVeffScratch[d] = v_eff;
         for (Core *core : chip_->domain(d).cores()) {
             double lc = 0.0, lu = 0.0;
-            core->tickRates(t, dt, v_eff, lc, lu);
+            core->tickRates(coreSamples[core->id()], dt, v_eff, lc, lu);
             coreLambdaCorr[core->id()] = lc;
             coreLambdaUnc[core->id()] = lu;
             chip_corr += lc;

@@ -26,6 +26,15 @@ class CoreModelTest : public ::testing::Test
         core = std::make_unique<Core>(cfg, variation, rng);
     }
 
+    /** One exact tick at time t, sampling the workload as the
+     *  Simulator's phase 1 does. */
+    CoreTickResult tickAt(Seconds t, Seconds dt, Millivolt v_eff,
+                          Rng &draw, EccEventLog *log = nullptr)
+    {
+        return core->tick(core->workloadSampleAt(t), t, dt, v_eff, draw,
+                          log);
+    }
+
     VariationModel variation;
     Rng rng;
     std::unique_ptr<Core> core;
@@ -69,7 +78,7 @@ TEST_F(CoreModelTest, NoEventsAtNominalVoltage)
     Rng draw(2);
     std::uint64_t events = 0;
     for (int i = 0; i < 1000; ++i) {
-        const auto result = core->tick(i * 0.01, 0.01, 800.0, draw);
+        const auto result = tickAt(i * 0.01, 0.01, 800.0, draw);
         events += result.correctableEvents;
         EXPECT_EQ(result.crash, CrashReason::none);
     }
@@ -90,8 +99,7 @@ TEST_F(CoreModelTest, ErrorsAppearNearWeakLineVoltage)
     // 100 simulated seconds at the weak line's Vc: the stress workload
     // must hit it.
     for (int i = 0; i < 10000 && !core->crashed(); ++i) {
-        events +=
-            core->tick(i * 0.01, 0.01, weakest, draw).correctableEvents;
+        events += tickAt(i * 0.01, 0.01, weakest, draw).correctableEvents;
     }
     EXPECT_GT(events, 0u);
 }
@@ -100,14 +108,13 @@ TEST_F(CoreModelTest, LogicFloorCrash)
 {
     core->setWorkload(std::make_shared<IdleWorkload>());
     Rng draw(4);
-    const auto result =
-        core->tick(0.0, 0.01, core->logicFloor() - 1.0, draw);
+    const auto result = tickAt(0.0, 0.01, core->logicFloor() - 1.0, draw);
     EXPECT_EQ(result.crash, CrashReason::logicFailure);
     EXPECT_TRUE(core->crashed());
     EXPECT_EQ(core->crashReason_(), CrashReason::logicFailure);
 
     // Crash latches: further ticks report nothing new.
-    const auto again = core->tick(0.01, 0.01, 800.0, draw);
+    const auto again = tickAt(0.01, 0.01, 800.0, draw);
     EXPECT_EQ(again.correctableEvents, 0u);
     EXPECT_TRUE(core->crashed());
 
@@ -130,8 +137,7 @@ TEST_F(CoreModelTest, DeconfiguredLineProducesNoTrafficErrors)
     const Millivolt weakest = core->l2iArray().weakestLine().weakestVc;
     std::uint64_t events = 0;
     for (int i = 0; i < 2000; ++i)
-        events +=
-            core->tick(i * 0.01, 0.01, weakest, draw).correctableEvents;
+        events += tickAt(i * 0.01, 0.01, weakest, draw).correctableEvents;
     EXPECT_EQ(events, 0u);
 }
 
@@ -143,7 +149,7 @@ TEST_F(CoreModelTest, EventLogRecordsSetAndWay)
     Rng draw(6);
     const Millivolt v = core->l2iArray().weakestLine().weakestVc - 5.0;
     for (int i = 0; i < 4000 && !core->crashed(); ++i)
-        core->tick(i * 0.01, 0.01, v, draw, &log);
+        tickAt(i * 0.01, 0.01, v, draw, &log);
     ASSERT_GT(log.correctableCount(), 0u);
     EXPECT_FALSE(log.perLineCorrectable().empty());
 }

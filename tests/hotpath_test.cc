@@ -404,7 +404,7 @@ TEST(ChipBatchedCore, TickRatesMatchExactTickExpectation)
     double lambda_corr_total = 0.0, lambda_unc_total = 0.0;
     for (int i = 0; i < ticks; ++i) {
         double lc = 0.0, lu = 0.0;
-        core.tickRates(i * dt, dt, v, lc, lu);
+        core.tickRates(core.workloadSampleAt(i * dt), dt, v, lc, lu);
         lambda_corr_total += lc;
         lambda_unc_total += lu;
         core.clearCrash();
@@ -417,8 +417,9 @@ TEST(ChipBatchedCore, TickRatesMatchExactTickExpectation)
     Rng draw_exact(23);
     std::uint64_t exact_total = 0;
     for (int i = 0; i < ticks; ++i) {
-        exact_total +=
-            core.tick(i * dt, dt, v, draw_exact).correctableEvents;
+        exact_total += core.tick(core.workloadSampleAt(i * dt), i * dt,
+                                 dt, v, draw_exact)
+                           .correctableEvents;
         core.clearCrash();
     }
     const double tolerance =
