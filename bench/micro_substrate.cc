@@ -79,9 +79,11 @@ BM_BitAccurateLineRead(benchmark::State &state)
 {
     static ArrayFixture fix;
     const Millivolt v = fix.line.weakestVc + 20.0;
+    LineReadResult read;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            fix.array.readLine(fix.line.set, fix.line.way, v, fix.draw));
+        fix.array.readLine(fix.line.set, fix.line.way, v, fix.draw, read);
+        benchmark::DoNotOptimize(read.data.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_BitAccurateLineRead);

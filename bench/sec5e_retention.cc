@@ -53,13 +53,13 @@ main()
     // Experiment repeated as in the paper.
     const int repeats = 10;
     std::uint64_t retention_errors = 0;
+    LineReadResult read;
     for (int r = 0; r < repeats; ++r) {
         array->writePattern(line.set, line.way, 0xA5A5A5A5A5A5A5A5ULL);
         // One minute of spinning at v10 with NO accesses to the line:
         // in this model (and on the paper's hardware) idle cells do
         // not lose state, so there is nothing to simulate but time.
-        const auto read =
-            array->readLine(line.set, line.way, v_high, rng);
+        array->readLine(line.set, line.way, v_high, rng, read);
         retention_errors += read.events.size();
         if (read.data[0] != 0xA5A5A5A5A5A5A5A5ULL)
             fatal("retention experiment corrupted data");

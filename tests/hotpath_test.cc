@@ -284,6 +284,7 @@ TEST(EncodeCache, HammerWithDistinctWordsStaysCorrect)
 
     std::uint64_t next = 0x9E3779B97F4A7C15ULL;
     Rng read_rng(17);
+    LineReadResult readback;
     const std::uint64_t line_writes = (1u << 17) / words + 2;
     for (std::uint64_t i = 0; i < line_writes; ++i) {
         const std::uint64_t set = i % geo.numSets();
@@ -296,8 +297,7 @@ TEST(EncodeCache, HammerWithDistinctWordsStaysCorrect)
 
         // Quiet cells at a high supply: the readback must decode the
         // exact words just written, whatever the cache evicted.
-        const LineReadResult readback =
-            quiet.readLine(set, way, /*v_eff=*/800.0, read_rng);
+        quiet.readLine(set, way, /*v_eff=*/800.0, read_rng, readback);
         ASSERT_FALSE(readback.uncorrectable);
         ASSERT_EQ(readback.data.size(), data.size());
         for (unsigned w = 0; w < words; ++w)

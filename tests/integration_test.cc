@@ -108,9 +108,10 @@ TEST(Integration, RetentionExperiment)
     // corrupt in this model (by construction, matching the paper's
     // finding). Read back well above the weak cell's Vc.
     Rng draw(1);
+    LineReadResult read;
     for (int i = 0; i < 1000; ++i) {
-        const auto read = array->readLine(line.set, line.way,
-                                          line.weakestVc + 80.0, draw);
+        array->readLine(line.set, line.way, line.weakestVc + 80.0, draw,
+                        read);
         EXPECT_TRUE(read.events.empty());
         EXPECT_EQ(read.data[0], 0x5555555555555555ULL);
     }

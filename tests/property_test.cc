@@ -51,10 +51,10 @@ TEST_P(ProbeAgreement, RatesMatchAtEveryVoltage)
     const ProbeStats probe =
         array.probeLine(weakest.set, weakest.way, v, n, draw_a);
     std::uint64_t events = 0;
+    LineReadResult read;
     for (std::uint64_t i = 0; i < n; ++i) {
-        for (const auto &event :
-             array.readLine(weakest.set, weakest.way, v, draw_b)
-                 .events)
+        array.readLine(weakest.set, weakest.way, v, draw_b, read);
+        for (const auto &event : read.events)
             events += (event.status == EccStatus::correctedSingle);
     }
     const double ra = double(probe.correctableEvents) / n;

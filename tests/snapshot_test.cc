@@ -652,7 +652,8 @@ TEST(CodecSnapshot, SameTierRoundTripsExactly)
     r.endSection();
     EXPECT_TRUE(b.isDeconfigured(5, 0));
     Rng draw(1);
-    const LineReadResult read = b.readLine(3, 1, 800.0, draw);
+    LineReadResult read;
+    b.readLine(3, 1, 800.0, draw, read);
     for (std::uint64_t word : read.data)
         EXPECT_EQ(word, 0xA5A5A5A5A5A5A5A5ULL);
 }

@@ -141,9 +141,10 @@ expectSweptStore(const CacheArray &array,
     const auto &geo = array.geometry();
     const std::vector<std::uint64_t> zeros(geo.wordsPerLine(), 0);
     Rng draw(99);
+    LineReadResult read;
     for (std::uint64_t set = 0; set < geo.numSets(); ++set) {
         for (unsigned way = 0; way < geo.associativity; ++way) {
-            const LineReadResult read = array.readLine(set, way, 2000.0, draw);
+            array.readLine(set, way, 2000.0, draw, read);
             const bool weak = !array.lineWeakSpan(set, way).empty();
             ASSERT_TRUE(read.events.empty());
             ASSERT_EQ(read.data, weak ? weak_words : zeros)
