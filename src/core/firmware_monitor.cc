@@ -1,5 +1,7 @@
 #include "core/firmware_monitor.hh"
 
+#include <string>
+
 #include "common/logging.hh"
 #include "snapshot/state_io.hh"
 
@@ -40,11 +42,15 @@ FirmwareSelfTest::runTests(Seconds dt, Millivolt v_eff, Rng &rng)
     const TargetedTestResult result = test->run(n, v_eff, rng);
 
     // Each iteration's step 3 touches the designated way exactly once
-    // (all ways of the set are re-read; only the designated way's
-    // machine-check reports count toward the monitored rate).
+    // (all ways of the set are re-read; only the designated line's
+    // machine-check reports count toward the monitored rate). The
+    // L1 reports too, and its (set, way) can equal the designated
+    // line's (L2 set 0 maps to L1 set 0), so the cache must match.
+    const std::string &l2_name = caches->l2().geometry().name;
     stats.accesses = n;
     for (const auto &event : result.events) {
-        if (event.set != targetSet || event.way != targetWay)
+        if (event.cacheName != l2_name || event.set != targetSet ||
+            event.way != targetWay)
             continue;
         if (event.status == EccStatus::correctedSingle)
             ++stats.correctableEvents;

@@ -3,6 +3,9 @@
  * Tests for the firmware self-test framework (Section IV-A / Fig. 8).
  */
 
+#include <algorithm>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -130,6 +133,54 @@ TEST_F(FirmwareMonitorTest, UncorrectableLatchClearsOnRead)
     EXPECT_GT(second.accesses, 0u);
     EXPECT_EQ(second.uncorrectableEvents, 0u);
     EXPECT_FALSE(self_test.sawUncorrectable());
+}
+
+/**
+ * With L2 set 0 under test the Fig. 7 addresses also fall in L1 set 0,
+ * so L1 events at ways 0-3 carry the designated line's (set, way). On
+ * a hierarchy whose L1 alone is weak, the L1 errs there but none of
+ * it may count against the designated L2 line.
+ */
+TEST_F(FirmwareMonitorTest, CountsOnlyTheDesignatedL2LinesEvents)
+{
+    VcDistribution weak;
+    weak.mean = 300.0;
+    weak.sigmaRandom = 55.0;
+    weak.sigmaDynamic = 10.0;
+    VcDistribution strong;
+    strong.mean = 100.0;
+    strong.sigmaRandom = 5.0;
+    strong.sigmaDynamic = 5.0;
+    Rng build(7);
+    CacheHierarchy side(std::make_unique<Cache>(itanium9560::l1Data(),
+                                                weak, 300.0, build),
+                        std::make_unique<Cache>(itanium9560::l2Data(),
+                                                strong, 150.0, build));
+    const std::uint64_t l2_set = 0;
+    const unsigned way = 1;
+    // Just below the critical voltage of the L1 line's weakest cell.
+    Millivolt v = 0.0;
+    for (const WeakCell &cell : side.l1().dataArray().lineWeakSpan(0, way))
+        v = std::max(v, cell.vc - 5.0);
+
+    // The L1 does report events at the designated (set, way).
+    TargetedLineTest probe(side, l2_set);
+    Rng probe_rng(8);
+    std::uint64_t l1_hits_on_target = 0;
+    for (const EccEvent &event : probe.run(50, v, probe_rng).events) {
+        EXPECT_EQ(event.cacheName, side.l1().geometry().name);
+        l1_hits_on_target += event.set == l2_set && event.way == way;
+    }
+    ASSERT_GT(l1_hits_on_target, 0u);
+
+    FirmwareSelfTest::Config config;
+    config.testsPerSecond = 100.0;
+    FirmwareSelfTest self_test(side, l2_set, way, config);
+    Rng rng(9);
+    const ProbeStats stats = self_test.runTests(0.5, v, rng);
+    EXPECT_EQ(stats.accesses, 50u);
+    EXPECT_EQ(stats.correctableEvents, 0u);
+    EXPECT_EQ(stats.uncorrectableEvents, 0u);
 }
 
 TEST_F(FirmwareMonitorTest, RejectsZeroTestRate)
