@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "platform/harness.hh"
 #include "platform/simulator.hh"
+#include "sram/aging.hh"
 #include "workload/benchmarks.hh"
 #include "workload/virus.hh"
 
@@ -246,6 +248,128 @@ TEST(Simulator, ExactTickIsPinned)
     ASSERT_EQ(sim.trace().samples().size(), 8u);
     EXPECT_EQ(sim.trace().samples().back().chipPower, 23.253579603586648);
     EXPECT_EQ(recovery->recoveries(), 2u);
+}
+
+/** FNV-1a fold of one 64-bit value, byte by byte. */
+std::uint64_t
+fnvFold(std::uint64_t hash, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+TEST(Simulator, ExactTickEventLogIsPinned)
+{
+    // The exact tick's per-line draws, pinned by their event log: an
+    // armed low-point die with suites on every core and no controller,
+    // so every rail holds where it is put, below its monitor line's
+    // first-error supply, and the workload traffic draws hundreds of
+    // events. Mid-run, domain 1's rail steps after holding for 300
+    // ticks, a weak line of core 7 is deconfigured and later
+    // reconfigured, core 1's L2D ages (then refreshWeakLines), and
+    // core 2's workload is swapped.
+    Chip chip(testConfig(21));
+    const auto setup = harness::armHardware(chip);
+
+    const Suite suites[] = {Suite::coreMark, Suite::specJbb2005,
+                            Suite::specInt2000, Suite::specFp2000};
+    for (unsigned c = 0; c < chip.numCores(); ++c) {
+        chip.core(c).setWorkload(
+            benchmarks::suiteSequence(suites[c % 4], 0.5));
+    }
+    for (const WeakLineTarget &target : setup.targets) {
+        VoltageRegulator &reg =
+            chip.domainOf(target.coreId).regulator();
+        reg.request(target.firstErrorVdd - 50.0);
+        reg.advance(1.0);
+    }
+
+    // The weakest L2D line of core 7 that is not a monitor's line.
+    Core &core7 = chip.core(7);
+    WeakLineInfo toggled;
+    for (const WeakLineInfo &line : core7.weakLinesOf(core7.l2dArray())) {
+        const bool designated = std::any_of(
+            setup.targets.begin(), setup.targets.end(),
+            [&](const WeakLineTarget &target) {
+                return target.array == &core7.l2dArray() &&
+                       target.set == line.set && target.way == line.way;
+            });
+        if (!designated) {
+            toggled = line;
+            break;
+        }
+    }
+
+    Simulator sim(chip, 0.002);
+    const AgingModel aging(AgingModel::Params{/*ratePerDecade=*/10.0});
+    Rng age_rng(5);
+    bool stepped = false, deconfigured = false, reconfigured = false;
+    bool aged = false, swapped = false;
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::uint64_t seen_corr = 0, seen_uncorr = 0;
+    sim.addHook([&](Seconds t, Seconds) {
+        if (!stepped && t >= 0.6) {
+            VoltageRegulator &reg = chip.domain(1).regulator();
+            reg.request(reg.setpoint() - 5.0);
+            stepped = true;
+        }
+        if (!deconfigured && t >= 0.4) {
+            core7.l2dArray().deconfigureLine(toggled.set, toggled.way);
+            deconfigured = true;
+        }
+        if (!reconfigured && t >= 1.2) {
+            core7.l2dArray().reconfigureLine(toggled.set, toggled.way);
+            reconfigured = true;
+        }
+        if (!aged && t >= 0.8) {
+            Core &core1 = chip.core(1);
+            aging.advance(core1.l2dArray().sram(), 0.0, 3e7, age_rng);
+            core1.refreshWeakLines();
+            aged = true;
+        }
+        if (!swapped && t >= 1.0) {
+            chip.core(2).setWorkload(
+                benchmarks::suiteSequence(Suite::stress, 0.5), t);
+            swapped = true;
+        }
+
+        // Fold the log whenever it moved: when, which caches, which
+        // lines and which status.
+        const EccEventLog &log = sim.eventLog();
+        if (log.correctableCount() == seen_corr &&
+            log.uncorrectableCount() == seen_uncorr)
+            return;
+        seen_corr = log.correctableCount();
+        seen_uncorr = log.uncorrectableCount();
+        std::uint64_t t_bits = 0;
+        std::memcpy(&t_bits, &t, sizeof t_bits);
+        digest = fnvFold(digest, t_bits);
+        digest = fnvFold(digest, seen_corr);
+        digest = fnvFold(digest, seen_uncorr);
+        for (const auto &[cache, count] : log.perCacheCorrectable()) {
+            for (char ch : cache)
+                digest = fnvFold(digest, std::uint64_t(ch));
+            digest = fnvFold(digest, count);
+        }
+        for (const auto &[line, count] : log.perLineCorrectable()) {
+            digest = fnvFold(digest, line.first);
+            digest = fnvFold(digest, line.second);
+            digest = fnvFold(digest, count);
+        }
+    });
+    sim.run(1.6);
+    ASSERT_TRUE(stepped && deconfigured && reconfigured && aged &&
+                swapped);
+
+    const std::uint64_t correctables[] = {0, 59, 50, 0, 0, 104, 112, 107};
+    for (unsigned c = 0; c < chip.numCores(); ++c)
+        EXPECT_EQ(sim.coreCorrectableEvents(c), correctables[c]) << c;
+    EXPECT_EQ(sim.eventLog().correctableCount(), 432u);
+    EXPECT_EQ(sim.eventLog().uncorrectableCount(), 0u);
+    EXPECT_EQ(digest, 0x5a9e6368c20b768eULL);
 }
 
 TEST(Trace, TsvRendering)
