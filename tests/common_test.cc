@@ -217,6 +217,53 @@ TEST(Rng, PoissonMean)
     }
 }
 
+/** Knuth's product method as Rng::poisson drew it before the zero
+ *  shortcut: exp(-mean) on every draw. */
+std::uint64_t
+knuthPoisson(Rng &rng, double mean)
+{
+    const double limit = std::exp(-mean);
+    double prod = rng.uniform();
+    std::uint64_t k = 0;
+    while (prod > limit) {
+        prod *= rng.uniform();
+        ++k;
+    }
+    return k;
+}
+
+TEST(Rng, PoissonZeroShortcutMatchesProductMethod)
+{
+    // The shortcut returns 0 without exp when u <= 1 - 2 * mean; every
+    // draw and the generator state after the draws must equal the
+    // product method's, on both sides of the 2^-50 threshold.
+    const double means[] = {0x1p-60,
+                            0x1p-51,
+                            std::nextafter(0x1p-50, 0.0),
+                            0x1p-50,
+                            std::nextafter(0x1p-50, 1.0),
+                            1e-9,
+                            1e-3,
+                            0.25,
+                            0.5,
+                            1.0,
+                            29.9};
+    for (double mean : means) {
+        Rng fast(91), reference(91);
+        std::uint64_t mismatches = 0, nonzero = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            const std::uint64_t k = fast.poisson(mean);
+            mismatches += k != knuthPoisson(reference, mean);
+            nonzero += k != 0;
+        }
+        EXPECT_EQ(mismatches, 0u) << mean;
+        EXPECT_EQ(fast.next(), reference.next()) << mean;
+        if (mean >= 1e-3) {
+            EXPECT_GT(nonzero, 0u) << mean;
+        }
+    }
+}
+
 TEST(MathUtil, NormalCdfKnownValues)
 {
     EXPECT_NEAR(math::normalCdf(0.0), 0.5, 1e-12);
