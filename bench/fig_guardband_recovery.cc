@@ -167,7 +167,6 @@ runConfig(std::size_t config_index, unsigned weeks, Seconds settle,
             Core &core = chip.core(c);
             aging.advance(core.l2iArray().sram(), t0, t1, rng);
             aging.advance(core.l2dArray().sram(), t0, t1, rng);
-            core.refreshWeakLines();
         }
 
         // The same mean shift hits the memory weak cells, and the

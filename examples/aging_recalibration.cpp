@@ -79,7 +79,6 @@ main()
                               age_rng);
                 aging.advance(core.l2dArray().sram(), age, age + 2 * year,
                               age_rng);
-                core.refreshWeakLines();
             }
             age += 2 * year;
             // Regulators back to nominal for the next boot.

@@ -8,6 +8,7 @@
 
 #include "common/rng.hh"
 #include "cpu/core_model.hh"
+#include "sram/aging.hh"
 #include "workload/benchmarks.hh"
 
 namespace vspec
@@ -162,6 +163,61 @@ TEST_F(CoreModelTest, WeakLinesOfMapsArrays)
               &core->weakLinesOf(core->l2dArray()));
     EXPECT_EQ(core->weakLinesOf(core->l2iArray()).size(),
               core->l2iArray().weakLines().size());
+}
+
+TEST_F(CoreModelTest, AgingWithoutRefreshTicksLikeARefreshedTwin)
+{
+    // Aging reorders the weakest-first lists under the core. The exact
+    // tick and the chip-batched rate memo must notice on their own: a
+    // core whose L2D aged without refreshWeakLines() ticks exactly like
+    // a twin that called it, draw for draw.
+    Rng twin_build(1);
+    Core twin(core->config(), variation, twin_build);
+    core->setWorkload(benchmarks::suiteSequence(Suite::stress, 10.0));
+    twin.setWorkload(benchmarks::suiteSequence(Suite::stress, 10.0));
+    const Millivolt top = core->l2dArray().weakestLine().weakestVc;
+
+    Rng draw_a(3), draw_b(3);
+    EccEventLog log_a, log_b;
+    const auto tick_both = [&](int i) {
+        const Seconds t = 0.01 * i;
+        const Millivolt v = top + 10.0 - 0.25 * (i % 160);
+        double corr_a = 0.0, uncorr_a = 0.0, corr_b = 0.0, uncorr_b = 0.0;
+        core->tickRates(core->workloadSampleAt(t), 0.01, v, corr_a,
+                        uncorr_a);
+        twin.tickRates(twin.workloadSampleAt(t), 0.01, v, corr_b,
+                       uncorr_b);
+        EXPECT_EQ(corr_a, corr_b) << i;
+        EXPECT_EQ(uncorr_a, uncorr_b) << i;
+        const CoreTickResult a = tickAt(t, 0.01, v, draw_a, &log_a);
+        const CoreTickResult b =
+            twin.tick(twin.workloadSampleAt(t), t, 0.01, v, draw_b, &log_b);
+        EXPECT_EQ(a.correctableEvents, b.correctableEvents) << i;
+        EXPECT_EQ(a.crash, b.crash) << i;
+        core->clearCrash();
+        twin.clearCrash();
+    };
+    // Fill every per-line memo at the fresh population first.
+    for (int i = 0; i < 160; ++i)
+        tick_both(i);
+
+    AgingModel::Params params;
+    params.ratePerDecade = 15.0;
+    params.randomFraction = 2.0;
+    const AgingModel aging(params);
+    Rng age_a(7), age_b(7);
+    aging.advance(core->l2dArray().sram(), 0.0, 3e8, age_a);
+    aging.advance(twin.l2dArray().sram(), 0.0, 3e8, age_b);
+    twin.refreshWeakLines();
+
+    for (int i = 160; i < 480; ++i)
+        tick_both(i);
+    EXPECT_GT(log_a.correctableCount(), 0u);
+    EXPECT_EQ(log_a.perLineCorrectable(), log_b.perLineCorrectable());
+    EXPECT_EQ(log_a.uncorrectableCount(), log_b.uncorrectableCount());
+    EXPECT_EQ(draw_a.next(), draw_b.next());
+    EXPECT_EQ(core->weakLinesOf(core->l2dArray()).front().weakestVc,
+              twin.weakLinesOf(twin.l2dArray()).front().weakestVc);
 }
 
 TEST_F(CoreModelTest, HighRegimeRegisterFileCanErr)
