@@ -53,25 +53,25 @@ namespace
 {
 
 /**
- * The exact sweep (fold, draw, write; see sweep.hh): @p passes passes
- * of @p reads reads per weak line at v_eff from one probability fold,
- * after which every weak line holds @p final_words. Probes never read
- * the store, so one write per line leaves the per-pass writes' state.
+ * The exact sweep (classify, draw, write; see sweep.hh): @p passes
+ * passes of @p reads reads per weak line at v_eff, after which every
+ * weak line holds @p final_words. Probes never read the store, so one
+ * write per line leaves the per-pass writes' state.
  */
 SweepResult
 exactSweep(CacheArray &array, Millivolt v_eff, std::uint64_t reads,
            std::size_t passes, const std::vector<std::uint64_t> &final_words,
            Rng &rng)
 {
-    std::vector<WeakLineProbabilities> lines;
-    array.weakLineProbabilities(v_eff, lines);
+    std::vector<SweepLine> lines;
+    array.sweepLines(v_eff, reads, lines);
 
     SweepResult result;
     result.linesTested = array.geometry().numLines();
     for (std::size_t pass = 0; pass < passes; ++pass) {
-        for (const WeakLineProbabilities &line : lines) {
-            const ProbeStats stats = CacheArray::sampleProbe(
-                line.pCorrectable, line.pUncorrectable, reads, rng);
+        for (const SweepLine &line : lines) {
+            const ProbeStats stats =
+                array.sampleSweepLine(line, v_eff, reads, rng);
             if (stats.correctableEvents > 0) {
                 result.correctablePerLine[{line.set, line.way}] +=
                     stats.correctableEvents;

@@ -11,14 +11,21 @@
  * replicated across memory so that execution walks every set and way of
  * the instruction cache.
  *
- * In exact mode both sweeps run three steps per call. Fold: each line
- * with a weak cell gets its exact per-access event probabilities at
- * v_eff, once (CacheArray::weakLineProbabilities). Draw: for each pass
- * (each data pattern, or the one template pass), for each weak line in
+ * In exact mode both sweeps run three steps per call. Classify: each
+ * line with a weak cell is classed by its weakest cell at v_eff
+ * (CacheArray::sweepLines). A line no cell of which can fail in double
+ * precision is dropped; a faint line, whose cells all fail with
+ * probability below 2^-76, is kept unfolded; every other line gets its
+ * exact per-access event probabilities, once. Draw: for each pass
+ * (each data pattern, or the one template pass), for each kept line in
  * ascending line order, the event counts probeLine would draw
- * (CacheArray::sampleProbe). Write: every weak line, deconfigured or
- * not, is left holding what the last pass stored; lines with no weak
- * cell cannot err and are left untouched.
+ * (CacheArray::sampleSweepLine): sampleProbe's draw for a folded line,
+ * one uniform for a faint one, which folds it only when that uniform
+ * exceeds 1 - 2^-38. The counts, the draws and their order are those
+ * of folding every weak line and drawing it with sampleProbe. Write:
+ * every weak line, deconfigured or not, is left holding what the last
+ * pass stored; lines with no weak cell cannot err and are left
+ * untouched.
  */
 
 #ifndef VSPEC_CACHE_SWEEP_HH
