@@ -69,16 +69,12 @@ MemArray::MemArray(MemKind kind, const MemArrayParams &params, Rng &rng)
     banks.resize(prm.numBanks);
     for (unsigned b = 0; b < prm.numBanks; ++b) {
         const std::uint64_t n_cells = prm.linesPerBank * cw_bits;
-        std::vector<WeakCell> cells =
-            tail_sampler::sample(rng, n_cells, dist,
-                                 prm.materializeFloorMv);
-        // The sampler returns descending-Vc order; regroup into
+        // The sampler returns ascending cell-index order; group it into
         // per-line records in (line, offset) order so aging and
         // serialization walk a stable layout.
-        std::sort(cells.begin(), cells.end(),
-                  [](const WeakCell &a, const WeakCell &b) {
-                      return a.cellIndex < b.cellIndex;
-                  });
+        const std::vector<WeakCell> cells =
+            tail_sampler::sample(rng, n_cells, dist,
+                                 prm.materializeFloorMv);
         Bank &bank = banks[b];
         for (const WeakCell &cell : cells) {
             const std::uint64_t line = cell.cellIndex / cw_bits;

@@ -23,10 +23,6 @@ SramArray::SramArray(std::string name, std::uint64_t n_cells,
         fatal("SramArray '", arrayName, "' needs a positive sigmaDynamic");
 
     cells = tail_sampler::sample(rng, n_cells, dist, floorMv);
-    std::sort(cells.begin(), cells.end(),
-              [](const WeakCell &a, const WeakCell &b) {
-                  return a.cellIndex < b.cellIndex;
-              });
 }
 
 WeakCellSpan

@@ -45,8 +45,8 @@ namespace tail_sampler
  * Materialize all cells of an n_cells-bit array whose critical voltage
  * exceeds v_floor, for cells distributed per @p dist.
  *
- * Positions are unique; the result is sorted by descending Vc (the
- * weakest cell — highest Vc — first).
+ * Positions are unique; the result is sorted by ascending cell index,
+ * the order SramArray and MemArray keep their populations in.
  */
 std::vector<WeakCell> sample(Rng &rng, std::uint64_t n_cells,
                              const VcDistribution &dist,
