@@ -28,7 +28,9 @@ EccMonitor::activate(CacheArray &array, std::uint64_t set, unsigned way)
     set_ = set;
     way_ = way;
     array.deconfigureLine(set, way);
-    array.writePattern(set, way, sweep::dataPatterns[0]);
+    for (std::size_t i = 0; i < sweep::dataPatterns.size(); ++i)
+        patternCodewords[i] = array.codec().encode(sweep::dataPatterns[i]);
+    array.fillLine(set, way, patternCodewords[0]);
     resetCounters();
     probeCarry = 0.0;
     patternIndex = 0;
@@ -66,7 +68,7 @@ EccMonitor::runProbes(Seconds dt, Millivolt v_eff, Rng &rng)
 
     // Cycle through the march test patterns on rewrite.
     patternIndex = (patternIndex + 1) % sweep::dataPatterns.size();
-    targetArray->writePattern(set_, way_, sweep::dataPatterns[patternIndex]);
+    targetArray->fillLine(set_, way_, patternCodewords[patternIndex]);
 
     stats = targetArray->probeLine(set_, way_, v_eff, n, rng);
     accumulate(stats);

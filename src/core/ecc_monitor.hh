@@ -20,6 +20,7 @@
 #ifndef VSPEC_CORE_ECC_MONITOR_HH
 #define VSPEC_CORE_ECC_MONITOR_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -116,6 +117,8 @@ class EccMonitor : public CountingFeedbackSource
     /** Fractional probe budget carried between ticks. */
     double probeCarry = 0.0;
     unsigned patternIndex = 0;
+    /** sweep::dataPatterns encoded by the target's codec at activate. */
+    std::array<Codeword, sweep::dataPatterns.size()> patternCodewords;
 };
 
 } // namespace vspec
