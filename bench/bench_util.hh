@@ -118,7 +118,8 @@ parseStringArg(int argc, char **argv, const std::string &name,
 }
 
 /**
- * Traffic/calibration sampling fidelity from a "--sampling
+ * Traffic sampling fidelity (the Simulator tick, or the hot fleet's
+ * advance; calibration always runs exact) from a "--sampling
  * exact|chip-batched" argument (default exact, matching the goldens).
  * Both modes are deterministic; chip-batched draws a different
  * (aggregated) RNG sequence, so each mode has its own replay stream.

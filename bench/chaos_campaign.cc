@@ -107,10 +107,7 @@ buildCampaign(std::uint64_t seed, SamplingMode sampling)
     ChipConfig cfg = makeLowConfig();
     cfg.seed = seed;
     c.chip = std::make_unique<Chip>(cfg);
-    Calibrator::Config calibration;
-    calibration.sampling = sampling;
-    c.setup =
-        harness::armHardware(*c.chip, ControlPolicy(), calibration);
+    c.setup = harness::armHardware(*c.chip);
     harness::assignSuite(*c.chip, Suite::coreMark, 10.0);
 
     RecoveryManager::Config recovery_cfg;

@@ -18,10 +18,9 @@
  *
  * The sweep is checkpointable at task granularity — task seeds come
  * from the global grid index, so a resumed window reproduces the
- * uninterrupted points bit-for-bit:
+ * uninterrupted points bit-for-bit (the probes always draw at the
+ * exact voltage):
  *
- *   --sampling exact|chip-batched
- *                              probe-burst fidelity (default exact)
  *   --probes N                 probe bursts per (core, Vdd) point
  *                              (default 20000 — the figure's
  *                              resolution; tests dial it down)
@@ -46,14 +45,15 @@ namespace
 constexpr std::uint64_t kProbesPerPoint = 20000;
 
 void
-writeCheckpoint(const std::string &path, SamplingMode sampling,
-                std::uint64_t probes, std::size_t grid_size,
+writeCheckpoint(const std::string &path, std::uint64_t probes,
+                std::size_t grid_size,
                 const std::vector<experiments::ProbeCurvePoint> &points)
 {
     StateWriter w;
     w.beginSection("bench");
     w.putString("fig13_error_probability");
-    w.putU8(std::uint8_t(sampling));
+    // The format keeps its sampling-mode byte; fig13 probes exact only.
+    w.putU8(std::uint8_t(SamplingMode::exact));
     w.putU64(probes);
     w.putU64(grid_size);
     w.endSection();
@@ -73,8 +73,8 @@ writeCheckpoint(const std::string &path, SamplingMode sampling,
 }
 
 std::vector<experiments::ProbeCurvePoint>
-readCheckpoint(const std::string &path, SamplingMode &sampling,
-               std::uint64_t expected_probes, std::size_t grid_size)
+readCheckpoint(const std::string &path, std::uint64_t expected_probes,
+               std::size_t grid_size)
 {
     StateReader r = StateReader::fromFile(path);
     r.beginSection("bench");
@@ -82,7 +82,10 @@ readCheckpoint(const std::string &path, SamplingMode &sampling,
     if (bench != "fig13_error_probability")
         throw SnapshotError("snapshot belongs to bench '" + bench +
                             "', not fig13_error_probability");
-    sampling = samplingModeFromByte(r.getU8());
+    if (samplingModeFromByte(r.getU8()) != SamplingMode::exact)
+        throw SnapshotError("sampling mode 2 (chip-batched) was retired "
+                            "from fig13; rerun the sweep without "
+                            "--resume");
     const std::uint64_t probes = r.getU64();
     if (probes != expected_probes)
         throw SnapshotError("snapshot probes-per-point " +
@@ -122,7 +125,6 @@ main(int argc, char **argv)
     setInformEnabled(false);
     ExperimentPool pool(parseThreads(argc, argv));
     const bool json = parseJson(argc, argv);
-    SamplingMode sampling = parseSampling(argc, argv);
     const std::uint64_t probes = std::uint64_t(
         parseDoubleArg(argc, argv, "probes", double(kProbesPerPoint)));
     const double halt_after =
@@ -145,11 +147,8 @@ main(int argc, char **argv)
 
     std::vector<experiments::ProbeCurvePoint> points;
     try {
-        // The snapshot's sampling mode wins over --sampling on resume:
-        // the remaining tasks must extend the same replay stream.
         if (!resume_path.empty())
-            points = readCheckpoint(resume_path, sampling, probes,
-                                    grid.size());
+            points = readCheckpoint(resume_path, probes, grid.size());
 
         const std::size_t stop =
             halt_after > 0.0
@@ -163,15 +162,14 @@ main(int argc, char **argv)
                                                    1, chunk));
             auto fresh = experiments::errorProbabilityPointsPooled(
                 makeLowConfig(), grid, points.size(), next, probes,
-                pool, sampling);
+                pool);
             points.insert(points.end(), fresh.begin(), fresh.end());
             if (ckpt_every > 0.0 && points.size() < stop)
-                writeCheckpoint(snap_path, sampling, probes,
-                                grid.size(), points);
+                writeCheckpoint(snap_path, probes, grid.size(),
+                                points);
         }
         if (stop < grid.size()) {
-            writeCheckpoint(snap_path, sampling, probes, grid.size(),
-                            points);
+            writeCheckpoint(snap_path, probes, grid.size(), points);
             return 0;
         }
     } catch (const SnapshotError &e) {

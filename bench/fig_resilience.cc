@@ -18,9 +18,9 @@
  *   --duration S               campaign length in simulated seconds
  *                              (default 240)
  *   --sampling exact|chip-batched
- *                              traffic/calibration fidelity (default
+ *                              Simulator-tick fidelity (default
  *                              exact; each mode has its own replay
- *                              stream)
+ *                              stream; calibration is always exact)
  *   --checkpoint FILE          snapshot target path
  *   --checkpoint-every T       periodic snapshot cadence (seconds of
  *                              simulated time)
@@ -99,10 +99,7 @@ runWithRecovery(SamplingMode sampling, Seconds duration,
     }
 
     Chip chip = makeLowChip();
-    Calibrator::Config calibration;
-    calibration.sampling = sampling;
-    auto setup =
-        harness::armHardware(chip, ControlPolicy(), calibration);
+    auto setup = harness::armHardware(chip);
     harness::assignSuite(chip, Suite::coreMark, 30.0);
 
     RecoveryManager::Config recovery_cfg;
@@ -196,10 +193,7 @@ void
 runWithoutRecovery(SamplingMode sampling, Seconds duration)
 {
     Chip chip = makeLowChip();
-    Calibrator::Config calibration;
-    calibration.sampling = sampling;
-    auto setup =
-        harness::armHardware(chip, ControlPolicy(), calibration);
+    auto setup = harness::armHardware(chip);
     harness::assignSuite(chip, Suite::coreMark, 30.0);
 
     Simulator sim(chip, kTick);

@@ -14,8 +14,7 @@
  *     weak-cell range query + per-cell normalCdf fold on every call).
  *     The ratio is the speedup the span index + LUT buy.
  *  2. sweep: full data calibration sweeps of one L2D array — naive
- *     reference, current exact, and the chip-batched aggregate path
- *     (two draws per pass over cached whole-array rates).
+ *     reference against the production exact sweep.
  *  3. burst: a fig13-style probe-burst voltage sweep over four cores of
  *     a fixed chip (throughput of the whole probeLine stack).
  *  4. fleet: a 2-chip fleet slice, exact vs chip-batched: Fleet::run
@@ -29,8 +28,8 @@
  * Options:
  *   --json                machine-readable output (BENCH_hotpath.json).
  *   --min-probe-speedup X fail (exit 2) if section 1's speedup < X.
- *   --min-sweep-speedup X fail (exit 2) if section 2's chip-batched
- *                         sweep speedup < X.
+ *   --min-sweep-speedup X fail (exit 2) if section 2's exact sweep
+ *                         speedup < X.
  *
  * The CI perf-smoke job runs this binary and compares the dimensionless
  * speedup ratios against the committed BENCH_hotpath.json baseline
@@ -236,14 +235,12 @@ main(int argc, char **argv)
     // Section 2: calibration data sweep — pre-optimization reference
     // ("naive": per-line weak-cell vector copies + per-probe
     // probability recomputation, as the library did before the span
-    // index and LUT), current exact, and chip-batched.
+    // index and LUT) against the current exact sweep.
     // ---------------------------------------------------------------
     constexpr unsigned sweepReps = 20;
     constexpr std::uint64_t readsPerPattern = 2500;
-    // Snap the sweep voltage to the LUT quantization grid so chip-batched
-    // mode evaluates the same probabilities as exact mode and the event
-    // counts are comparable within Poisson noise (off-grid voltages
-    // carry the documented bounded quantization bias instead).
+    // Sweep ~2 mV above the weakest cell's Vc, snapped to the LUT grid
+    // (the voltage BENCH_hotpath.json's sweep lanes were measured at).
     const Millivolt v_sweep =
         std::round((l2d.weakestLine().weakestVc + 2.0) /
                    CacheArray::probQuantMv) *
@@ -286,8 +283,8 @@ main(int argc, char **argv)
     });
     measures.push_back({"sweep_naive", sweep_naive_ms, sweepReps});
 
-    std::uint64_t exact_events = 0, vec_events = 0;
-    Rng rng_exact(0x5EEDULL), rng_vec(0x5EEDULL);
+    std::uint64_t exact_events = 0;
+    Rng rng_exact(0x5EEDULL);
 
     const double sweep_exact_ms = medianMs([&] {
         for (unsigned r = 0; r < sweepReps; ++r) {
@@ -298,46 +295,8 @@ main(int argc, char **argv)
     });
     measures.push_back({"sweep_exact", sweep_exact_ms, sweepReps});
 
-    // The aggregate sweep costs microseconds per pass, so it needs far
-    // more repetitions than the walking lanes for a stable median; the
-    // speedup normalizes per pass.
-    constexpr unsigned vecReps = 10000;
-    const double sweep_vec_ms = medianMs([&] {
-        for (unsigned r = 0; r < vecReps; ++r) {
-            vec_events += sweep::dataSweep(l2d, v_sweep, readsPerPattern,
-                                           rng_vec,
-                                           SamplingMode::chipBatched)
-                              .totalCorrectable;
-        }
-    });
-    measures.push_back({"sweep_vectorized", sweep_vec_ms, vecReps});
-
     const double sweep_exact_speedup =
         sweep_naive_ms / std::max(sweep_exact_ms, 1e-6);
-    const double sweep_vec_speedup =
-        (sweep_naive_ms / double(sweepReps)) /
-        std::max(sweep_vec_ms / double(vecReps), 1e-9);
-    // Distributional sanity: same mean event count per sweep within
-    // 5 sigma of the Poisson-scale noise. Each lane accumulated over 3
-    // timed repetitions of its rep count.
-    {
-        const double n_exact = 3.0 * sweepReps;
-        const double n_vec = 3.0 * vecReps;
-        const double m_exact = double(exact_events) / n_exact;
-        const double m_vec = double(vec_events) / n_vec;
-        const double pooled = 0.5 * (m_exact + m_vec);
-        const double tolerance =
-            5.0 * std::sqrt(std::max(pooled, 1.0) *
-                            (1.0 / n_exact + 1.0 / n_vec));
-        if (std::abs(m_exact - m_vec) > tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: chip-batched sweep event rate diverged "
-                         "(%.1f exact vs %.1f chip-batched per sweep, "
-                         "tolerance %.2f)\n",
-                         m_exact, m_vec, tolerance);
-            return 1;
-        }
-    }
 
     // ---------------------------------------------------------------
     // Section 3: fig13-style probe-burst voltage sweep, fixed chip.
@@ -412,14 +371,12 @@ main(int argc, char **argv)
         doc.key("speedups").beginObject();
         doc.key("probeLutVsNaive").value(probe_speedup);
         doc.key("sweepExactVsNaive").value(sweep_exact_speedup);
-        doc.key("sweepVectorizedVsNaive").value(sweep_vec_speedup);
         doc.key("fleetChipBatchedVsExact").value(fleet_chip_speedup);
         doc.endObject();
         doc.key("checks").beginObject();
         doc.key("probeChecksumAbsError").value(max_abs_err);
         doc.key("sweepNaiveEvents").value(naive_events);
         doc.key("sweepExactEvents").value(exact_events);
-        doc.key("sweepVectorizedEvents").value(vec_events);
         doc.key("burstEvents").value(burst_events);
         doc.key("simdBackend").value(simd::backendName());
         doc.endObject();
@@ -437,9 +394,9 @@ main(int argc, char **argv)
                                              m.work, 1)));
         }
         std::printf("\nspeedups vs pre-optimization reference: probe LUT "
-                    "%.1fx, sweep exact %.1fx, sweep vectorized %.1fx; "
+                    "%.1fx, sweep exact %.1fx; "
                     "fleet chip-batched vs exact %.1fx [%s]\n",
-                    probe_speedup, sweep_exact_speedup, sweep_vec_speedup,
+                    probe_speedup, sweep_exact_speedup,
                     fleet_chip_speedup, simd::backendName());
     }
 
@@ -449,11 +406,10 @@ main(int argc, char **argv)
                      probe_speedup, min_probe);
         return 2;
     }
-    if (min_sweep > 0.0 && sweep_vec_speedup < min_sweep) {
+    if (min_sweep > 0.0 && sweep_exact_speedup < min_sweep) {
         std::fprintf(stderr,
-                     "FAIL: chip-batched sweep speedup %.2fx below floor "
-                     "%.2fx\n",
-                     sweep_vec_speedup, min_sweep);
+                     "FAIL: exact sweep speedup %.2fx below floor %.2fx\n",
+                     sweep_exact_speedup, min_sweep);
         return 2;
     }
     return 0;

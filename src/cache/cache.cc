@@ -145,11 +145,4 @@ Cache::reconfigureLine(std::uint64_t set, unsigned way)
     array.reconfigureLine(set, way);
 }
 
-void
-Cache::resetStats()
-{
-    hits = 0;
-    misses = 0;
-}
-
 } // namespace vspec

@@ -75,7 +75,6 @@ class Cache
 
     std::uint64_t hitCount() const { return hits; }
     std::uint64_t missCount() const { return misses; }
-    void resetStats();
 
   private:
     struct TagEntry

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace vspec
 {
@@ -328,64 +327,6 @@ CacheArray::lineEventProbabilities(std::uint64_t set, unsigned way,
     slot.pUncorrectable = p_uncorrectable;
 }
 
-void
-CacheArray::aggregateEventRates(Millivolt v_eff, double &sum_correctable,
-                                double &sum_uncorrectable) const
-{
-    const std::int64_t bucket = probBucketIndex(v_eff);
-    if (aggCache.empty())
-        aggCache.resize(aggCacheSlots);
-    AggSlot &slot = aggCache[std::uint64_t(bucket) & (aggCacheSlots - 1)];
-    if (slot.valid && slot.bucket == bucket &&
-        slot.generation == cells.generation()) {
-        sum_correctable = slot.sumCorrectable;
-        sum_uncorrectable = slot.sumUncorrectable;
-        return;
-    }
-
-    // Miss: evaluate every weak cell of the array at the bucket center
-    // with one batched Phi call, then fold line by line. The line set
-    // matches the sweep engines' (every line with weak cells, whether
-    // or not deconfigured — sweeps probe deconfigured lines too).
-    const Millivolt v_eval = probBucketCenter(v_eff);
-    const auto &weak = cells.weakCells();
-    const double sigma = cells.distribution().sigmaDynamic;
-    zScratch.resize(weak.size());
-    for (std::size_t i = 0; i < weak.size(); ++i)
-        zScratch[i] = (weak[i].vc - v_eval) / sigma;
-    phiScratch.resize(weak.size());
-    simd::normalCdfBatch(zScratch.data(), zScratch.size(),
-                         phiScratch.data());
-
-    sum_correctable = 0.0;
-    sum_uncorrectable = 0.0;
-    const WeakCell *base_cell = weak.data();
-    for (std::uint64_t line = 0; line < lineWeakIndex.size(); ++line) {
-        const auto &[begin, end] = lineWeakIndex[line];
-        if (begin == end)
-            continue;
-        // The same per-word fold as the exact path, over the batched
-        // Phi values instead of per-cell evaluations.
-        double p_corr = 0.0, p_uncorr = 0.0;
-        const double *phi = phiScratch.data() + begin;
-        foldLine(base_cell + begin, base_cell + end, line * cellsPerLine,
-                 eccCodec->codewordBits(), eccCodec->correctableBits(),
-                 [phi](std::size_t i) { return phi[i]; }, p_corr,
-                 p_uncorr);
-        // Correctable: expected events add. Uncorrectable: the per-line
-        // probability accumulates as a hazard rate, the same
-        // approximation Core::tickRates uses.
-        sum_correctable += p_corr;
-        sum_uncorrectable += p_uncorr;
-    }
-
-    slot.bucket = bucket;
-    slot.generation = cells.generation();
-    slot.sumCorrectable = sum_correctable;
-    slot.sumUncorrectable = sum_uncorrectable;
-    slot.valid = true;
-}
-
 /*
  * Why sweepLines may leave zero lines out and draw faint lines from one
  * uniform, bit for bit. Let z be a line's weakest cell's (Vc - v_eff) /
@@ -483,14 +424,10 @@ CacheArray::sampleProbe(double p_correctable, double p_uncorrectable,
 
 ProbeStats
 CacheArray::probeLine(std::uint64_t set, unsigned way, Millivolt v_eff,
-                      std::uint64_t n_accesses, Rng &rng,
-                      SamplingMode mode) const
+                      std::uint64_t n_accesses, Rng &rng) const
 {
     double p_corr = 0.0, p_uncorr = 0.0;
-    lineEventProbabilities(
-        set, way,
-        mode == SamplingMode::exact ? v_eff : probBucketCenter(v_eff),
-        p_corr, p_uncorr);
+    lineEventProbabilities(set, way, v_eff, p_corr, p_uncorr);
     return sampleProbe(p_corr, p_uncorr, n_accesses, rng);
 }
 
@@ -504,16 +441,8 @@ CacheArray::weakLines() const
     const std::vector<Millivolt> &vc_max = lineWeakestVcs();
     for (std::uint64_t line = 0; line < lineWeakIndex.size(); ++line) {
         const auto &[begin, end] = lineWeakIndex[line];
-        if (begin == end)
-            continue;
-        WeakLineInfo info;
-        info.set = line / geo.associativity;
-        info.way = unsigned(line % geo.associativity);
-        info.cellBegin = begin;
-        info.cellEnd = end;
-        info.weakCellCount = end - begin;
-        info.weakestVc = vc_max[line];
-        result.push_back(info);
+        if (begin != end)
+            result.push_back(weakLineInfo(line, vc_max[line]));
     }
     std::sort(result.begin(), result.end(),
               [](const WeakLineInfo &a, const WeakLineInfo &b) {
@@ -583,17 +512,32 @@ CacheArray::lineWeakestVcs() const
 WeakLineInfo
 CacheArray::weakestLine() const
 {
-    // Memoized on the SRAM generation (the ranking depends only on the
-    // cell critical voltages): the full weakest-first sort runs once
-    // per aging epoch instead of once per caller.
-    if (!weakestMemoValid ||
-        weakestMemoGeneration != cells.generation()) {
-        const auto lines = weakLines();
-        weakestMemo = lines.empty() ? WeakLineInfo{} : lines.front();
-        weakestMemoGeneration = cells.generation();
-        weakestMemoValid = true;
+    // One pass over the memoized per-line maxima; the first line with
+    // the largest Vc wins, as it heads weakLines()' weakest-first order
+    // whenever that maximum is unique.
+    const std::vector<Millivolt> &vc_max = lineWeakestVcs();
+    const std::uint64_t none = lineWeakIndex.size();
+    std::uint64_t best = none;
+    for (std::uint64_t line = 0; line < lineWeakIndex.size(); ++line) {
+        const auto &[begin, end] = lineWeakIndex[line];
+        if (begin != end && (best == none || vc_max[line] > vc_max[best]))
+            best = line;
     }
-    return weakestMemo;
+    return best == none ? WeakLineInfo{} : weakLineInfo(best, vc_max[best]);
+}
+
+WeakLineInfo
+CacheArray::weakLineInfo(std::uint64_t line, Millivolt weakest_vc) const
+{
+    const auto &[begin, end] = lineWeakIndex[line];
+    WeakLineInfo info;
+    info.set = line / geo.associativity;
+    info.way = unsigned(line % geo.associativity);
+    info.weakestVc = weakest_vc;
+    info.weakCellCount = end - begin;
+    info.cellBegin = begin;
+    info.cellEnd = end;
+    return info;
 }
 
 void
@@ -696,15 +640,11 @@ CacheArray::loadState(StateReader &r)
 
     // The probability LUT keys on the SRAM generation, but entries
     // computed against the pre-restore population could alias a
-    // restored generation value; drop them outright. The
-    // aggregate-rate, weakest-line and weakest-Vc memos have the same
-    // aliasing exposure, so they drop too.
+    // restored generation value; drop them outright. The weakest-Vc
+    // memo has the same aliasing exposure, so it drops too.
     if (!probCache.empty())
         std::fill(probCache.begin(), probCache.end(), ProbSlot{});
     probCacheGeneration = cells.generation();
-    if (!aggCache.empty())
-        std::fill(aggCache.begin(), aggCache.end(), AggSlot{});
-    weakestMemoValid = false;
     weakestVcValid = false;
 }
 

@@ -34,7 +34,6 @@
 #include "cache/ecc_event.hh"
 #include "cache/geometry.hh"
 #include "common/rng.hh"
-#include "common/sampling.hh"
 #include "common/units.hh"
 #include "ecc/codec.hh"
 #include "sram/sram_array.hh"
@@ -145,14 +144,9 @@ class CacheArray
     void readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
                   Rng &rng, LineReadResult &out) const;
 
-    /**
-     * Aggregate probe of one line: n_accesses full-line reads. With
-     * SamplingMode::chipBatched the per-access probabilities are
-     * evaluated at v_eff's bucket center instead of the exact voltage.
-     */
+    /** Aggregate probe of one line: n_accesses full-line reads. */
     ProbeStats probeLine(std::uint64_t set, unsigned way, Millivolt v_eff,
-                         std::uint64_t n_accesses, Rng &rng,
-                         SamplingMode mode = SamplingMode::exact) const;
+                         std::uint64_t n_accesses, Rng &rng) const;
 
     /**
      * The draw rule of probeLine and the calibration sweeps: whole
@@ -224,20 +218,6 @@ class CacheArray
                                 Millivolt v_eff, double &p_correctable,
                                 double &p_uncorrectable) const;
 
-    /**
-     * Whole-array aggregate event rates at the bucket center of
-     * v_eff's quantization bucket: the sum over every weak line of the
-     * per-access expected correctable events and of the per-access
-     * uncorrectable probability (used as a hazard rate, matching
-     * Core::tickRates). Backed by a small
-     * per-bucket cache invalidated by the SRAM generation, so a
-     * steady-rail sweep costs two loads per pass instead of a walk
-     * over every weak line. The fill is the vectorized fold above —
-     * one normalCdfBatch over the entire weak-cell population.
-     */
-    void aggregateEventRates(Millivolt v_eff, double &sum_correctable,
-                             double &sum_uncorrectable) const;
-
     /** Voltage quantization grid of the probability LUT (mV). */
     static constexpr Millivolt probQuantMv = 0.25;
 
@@ -299,7 +279,10 @@ class CacheArray
     /** All lines containing at least one weak cell, weakest first. */
     std::vector<WeakLineInfo> weakLines() const;
 
-    /** The single weakest line, or a default WeakLineInfo if none. */
+    /**
+     * The single weakest line (ties go to the lowest line index), or a
+     * default WeakLineInfo if none.
+     */
     WeakLineInfo weakestLine() const;
 
     /** Flat cell index of the first cell of a line. */
@@ -338,9 +321,9 @@ class CacheArray
      * critical voltages), the stored codewords (run-length encoded —
      * the store is dominated by repeated pattern/zero encodings) and
      * the per-line deconfiguration flags. The probability LUT and the
-     * aggregate-rate, weakest-line and weakest-Vc memos are derived
-     * caches and are re-derived, never serialized; loadState drops them
-     * so no stale pre-restore entry survives.
+     * weakest-Vc memo are derived caches and are re-derived, never
+     * serialized; loadState drops them so no stale pre-restore entry
+     * survives.
      */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r);
@@ -396,6 +379,10 @@ class CacheArray
     /** weakestVcs, current for the SRAM population. */
     const std::vector<Millivolt> &lineWeakestVcs() const;
 
+    /** Summary of weak line @p line (flat index) whose max Vc is given. */
+    WeakLineInfo weakLineInfo(std::uint64_t line,
+                              Millivolt weakest_vc) const;
+
     /**
      * Events of a faint line whose pass drew @p u > faintZeroBound:
      * the exact fold, then the rest of sampleProbe's draw from @p u.
@@ -424,35 +411,6 @@ class CacheArray
 
     /** Scratch for readLine's flip sampling (no per-call allocation). */
     mutable std::vector<std::uint64_t> flipScratch;
-
-    /** Scratch for the aggregate probability fold: z-scores in,
-     *  batched Phi values out. */
-    mutable std::vector<double> zScratch;
-    mutable std::vector<double> phiScratch;
-
-    /**
-     * Per-bucket aggregate event-rate cache for aggregateEventRates:
-     * direct-mapped on the voltage bucket, invalidated by the SRAM
-     * generation. A descending calibration sweep touches a handful of
-     * buckets, so a few slots give a ~100% steady-state hit rate.
-     */
-    struct AggSlot
-    {
-        std::int64_t bucket = 0;
-        std::uint64_t generation = 0;
-        double sumCorrectable = 0.0;
-        double sumUncorrectable = 0.0;
-        bool valid = false;
-    };
-    static constexpr std::size_t aggCacheSlots = 16;
-    mutable std::vector<AggSlot> aggCache;
-
-    /** Memoized weakestLine() result (the chip-batched sweep path
-     *  attributes its aggregate events there every pass; recomputing
-     *  the full weakest-first sort each time would dominate). */
-    mutable WeakLineInfo weakestMemo;
-    mutable std::uint64_t weakestMemoGeneration = 0;
-    mutable bool weakestMemoValid = false;
 
     /** Uncached exact fold of a line's weak cells from cell @p base. */
     void computeLineEventProbabilities(WeakCellSpan span,

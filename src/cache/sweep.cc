@@ -1,7 +1,5 @@
 #include "cache/sweep.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace vspec
@@ -86,49 +84,12 @@ exactSweep(CacheArray &array, Millivolt v_eff, std::uint64_t reads,
     return result;
 }
 
-/**
- * Whole-array aggregate sweep (SamplingMode::chipBatched): two draws
- * per pass — one Poisson over the summed correctable rate, one
- * survival Bernoulli over the summed uncorrectable hazard — instead of
- * a draw per weak line. The correctable events are attributed to the
- * array's weakest line: per-line attribution fidelity drops (the
- * calibrator's worstLine() sees the statistically most likely worst
- * line instead of a sampled one), which is the documented trade of the
- * chip-granularity mode.
- */
-SweepResult
-sweepAggregate(CacheArray &array, Millivolt v_eff, std::uint64_t reads,
-               Rng &rng)
-{
-    SweepResult result;
-    result.linesTested = array.geometry().numLines();
-
-    double sum_corr = 0.0, sum_uncorr = 0.0;
-    array.aggregateEventRates(v_eff, sum_corr, sum_uncorr);
-
-    const std::uint64_t events =
-        rng.poisson(double(reads) * sum_corr);
-    if (events > 0) {
-        const WeakLineInfo target = array.weakestLine();
-        result.correctablePerLine[{target.set, target.way}] = events;
-        result.totalCorrectable = events;
-    }
-    result.uncorrectable =
-        rng.bernoulli(-std::expm1(-double(reads) * sum_uncorr));
-    return result;
-}
-
 } // namespace
 
 SweepResult
 dataSweep(CacheArray &array, Millivolt v_eff,
-          std::uint64_t reads_per_pattern, Rng &rng, SamplingMode mode)
+          std::uint64_t reads_per_pattern, Rng &rng)
 {
-    if (mode == SamplingMode::chipBatched) {
-        return sweepAggregate(array, v_eff,
-                              reads_per_pattern * dataPatterns.size(),
-                              rng);
-    }
     return exactSweep(array, v_eff, reads_per_pattern, dataPatterns.size(),
                       std::vector<std::uint64_t>(
                           array.geometry().wordsPerLine(),
@@ -138,10 +99,8 @@ dataSweep(CacheArray &array, Millivolt v_eff,
 
 SweepResult
 instructionSweep(CacheArray &array, Millivolt v_eff,
-                 std::uint64_t reads_per_line, Rng &rng, SamplingMode mode)
+                 std::uint64_t reads_per_line, Rng &rng)
 {
-    if (mode == SamplingMode::chipBatched)
-        return sweepAggregate(array, v_eff, reads_per_line, rng);
     return exactSweep(array, v_eff, reads_per_line, 1,
                       InstructionTemplate(array.geometry().wordsPerLine())
                           .words(),

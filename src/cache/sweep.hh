@@ -11,7 +11,7 @@
  * replicated across memory so that execution walks every set and way of
  * the instruction cache.
  *
- * In exact mode both sweeps run three steps per call. Classify: each
+ * Both sweeps run three steps per call. Classify: each
  * line with a weak cell is classed by its weakest cell at v_eff
  * (CacheArray::sweepLines). A line no cell of which can fail in double
  * precision is dropped; a faint line, whose cells all fail with
@@ -38,7 +38,6 @@
 
 #include "cache/cache_array.hh"
 #include "common/rng.hh"
-#include "common/sampling.hh"
 
 namespace vspec
 {
@@ -102,28 +101,18 @@ constexpr std::array<std::uint64_t, 4> dataPatterns = {
  * @p reads_per_pattern times. Cell failures are content-independent,
  * so the patterns share one probability fold; afterwards every weak
  * line holds the last pattern (dataPatterns.back()).
- *
- * SamplingMode::chipBatched skips the simulated pattern writes and
- * collapses the whole array to two draws over cached aggregate rates
- * (CacheArray::aggregateEventRates) for reads_per_pattern * |patterns|
- * accesses per line — cell failures are content-independent, so the
- * event-count distribution is unchanged — and attributes the
- * correctable events to the weakest line.
  */
 SweepResult dataSweep(CacheArray &array, Millivolt v_eff,
-                      std::uint64_t reads_per_pattern, Rng &rng,
-                      SamplingMode mode = SamplingMode::exact);
+                      std::uint64_t reads_per_pattern, Rng &rng);
 
 /**
  * Sweep every line of an instruction array: the replicated template is
  * written to each line (as the firmware's memory copy would place it)
  * and then fetched @p reads_per_line times; afterwards every weak line
- * holds the template. SamplingMode::chipBatched skips the template
- * writes and draws from the aggregate, as above.
+ * holds the template.
  */
 SweepResult instructionSweep(CacheArray &array, Millivolt v_eff,
-                             std::uint64_t reads_per_line, Rng &rng,
-                             SamplingMode mode = SamplingMode::exact);
+                             std::uint64_t reads_per_line, Rng &rng);
 
 } // namespace sweep
 

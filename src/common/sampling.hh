@@ -1,19 +1,19 @@
 /**
  * @file
- * Fault-sampling fidelity knob shared by the sweep engines, the
- * Simulator and the Fleet.
+ * Traffic-sampling fidelity knob of the Simulator tick and the fleets.
+ * It selects only the tick: calibration sweeps and single-line probes
+ * always draw exactly.
  *
  * The exact mode reproduces the historical draw-for-draw behaviour:
- * one Poisson/binomial draw per weak line per tick (or per pattern
- * pass per line in the calibration sweeps), so experiment outputs are
- * byte-identical across code versions. The chip-batched mode exploits
- * two closure properties of the error model — sums of independent
- * Poisson processes are Poisson, and "no uncorrectable on any line" is
- * the product of per-line survival probabilities — to replace the
- * per-line draws of a tick (or a sweep pass), evaluated at quantized
- * voltages, with a single draw from the aggregate. The sampled distributions are
- * unchanged (statistical regression tests pin this); the RNG draw
- * sequence is not, which is why chip-batched is opt-in.
+ * one Poisson/binomial draw per weak line per tick, so experiment
+ * outputs are byte-identical across code versions. The chip-batched
+ * mode exploits two closure properties of the error model — sums of
+ * independent Poisson processes are Poisson, and "no uncorrectable on
+ * any line" is the product of per-line survival probabilities — to
+ * replace the per-line draws of a tick, evaluated at quantized
+ * voltages, with a single draw from the aggregate. The sampled
+ * distributions are unchanged (statistical regression tests pin this);
+ * the RNG draw sequence is not, which is why chip-batched is opt-in.
  */
 
 #ifndef VSPEC_COMMON_SAMPLING_HH

@@ -2,19 +2,18 @@
  * @file
  * Runtime-dispatched SIMD kernel for the sampling hot path.
  *
- * One kernel covers the vectorizable work of the fault model:
- * normalCdfBatch, the standard normal CDF over a batch of z-scores (the
- * per-cell failure probability Phi((Vc - V) / sigma) is the single most
- * expensive scalar operation in the chip-batched aggregate-rate folds).
+ * One kernel: normalCdfBatch, the standard normal CDF over a batch of
+ * z-scores. Since calibration always runs the exact sweeps, no
+ * production path calls it; it stays because backendName() is part of
+ * the repository benchmark's build stamp.
  *
  * Backends: AVX2 (4x double, selected at runtime via cpuid),
  * NEON (2 lanes, aarch64 builds), and a portable scalar fallback. All
  * backends execute the identical IEEE-754 operation sequence per lane —
  * no FMA contraction, no libm (exp and Phi are our own fixed-order
  * implementations) — so every backend produces byte-identical results.
- * That property is what keeps golden byte-compare tests meaningful
- * across build hosts; a CI job builds with VSPEC_DISABLE_SIMD and diffs
- * bench output against the SIMD build to pin it.
+ * A CI job builds with VSPEC_DISABLE_SIMD and runs the kernel tests
+ * and goldens on the portable fallback.
  *
  * The portable implementation is exported under simd::portable so
  * tests can compare the dispatched path against the fallback directly.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "snapshot/state_io.hh"
@@ -182,25 +181,6 @@ Histogram::quantile(double q) const
             return binLow(i) + binWidth * 0.5;
     }
     return rangeHi;
-}
-
-std::string
-Histogram::render(std::size_t width) const
-{
-    std::uint64_t peak = 0;
-    for (auto c : counts)
-        peak = std::max(peak, c);
-
-    std::ostringstream os;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        const std::size_t bar =
-            peak == 0 ? 0
-                      : std::size_t(double(counts[i]) / double(peak) *
-                                    double(width));
-        os << "[" << binLow(i) << ", " << binHigh(i) << ") "
-           << std::string(bar, '#') << " " << counts[i] << "\n";
-    }
-    return os.str();
 }
 
 void

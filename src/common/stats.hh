@@ -9,7 +9,6 @@
 #define VSPEC_COMMON_STATS_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace vspec
@@ -83,9 +82,6 @@ class Histogram
 
     /** Sample value at the given cumulative quantile q in [0, 1]. */
     double quantile(double q) const;
-
-    /** Render a compact multi-line ASCII view (for debug dumps). */
-    std::string render(std::size_t width = 50) const;
 
     /**
      * Shape (range, bin count) is construction state and is verified,

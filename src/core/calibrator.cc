@@ -42,10 +42,9 @@ Calibrator::calibrateDomain(const std::vector<Core *> &domain_cores,
                                                   cfg.readsPerPattern *
                                                       sweep::dataPatterns
                                                           .size(),
-                                                  rng, cfg.sampling)
+                                                  rng)
                         : sweep::dataSweep(*side.array, v,
-                                           cfg.readsPerPattern, rng,
-                                           cfg.sampling);
+                                           cfg.readsPerPattern, rng);
 
                 if (result.uncorrectable)
                     warn("calibration sweep hit an uncorrectable error "

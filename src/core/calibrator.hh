@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/sampling.hh"
 #include "common/units.hh"
 #include "cpu/core_model.hh"
 #include "pdn/regulator.hh"
@@ -59,12 +58,6 @@ class Calibrator
         std::uint64_t readsPerPattern = 2500;
         /** Give up after sweeping this far below the start (mV). */
         Millivolt maxDepthMv = 350.0;
-        /**
-         * Sweep fidelity: exact reproduces the historical per-pattern
-         * draws; chipBatched aggregates each array's pass into one
-         * draw pair (see common/sampling.hh).
-         */
-        SamplingMode sampling = SamplingMode::exact;
     };
 
     Calibrator();

@@ -36,14 +36,6 @@ GaloisField::inv(unsigned a) const
     return expTab[(n - logTab[a]) % n];
 }
 
-unsigned
-GaloisField::logOf(unsigned a) const
-{
-    if (a == 0)
-        panic("GF log of zero");
-    return logTab[a];
-}
-
 BchEngine::BchEngine(unsigned m, unsigned primitive_poly, unsigned t_,
                      unsigned data_bits)
     : field(m, primitive_poly), t(t_), k(data_bits)

@@ -64,8 +64,6 @@ class GaloisField
     /** alpha^e for any e >= 0. */
     unsigned alphaPow(unsigned e) const { return expTab[e % n]; }
 
-    unsigned logOf(unsigned a) const;
-
   private:
     unsigned m;
     unsigned n;  // 2^m - 1
@@ -86,7 +84,6 @@ class BchEngine
               unsigned data_bits);
 
     unsigned degG() const { return unsigned(gen.size() - 1); }
-    unsigned dataBitsK() const { return k; }
     unsigned shortLength() const { return nShort; }
     unsigned radius() const { return t; }
 

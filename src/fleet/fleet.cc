@@ -75,9 +75,7 @@ FleetNode::FleetNode(const FleetConfig &config, unsigned index)
             1.0 + (lat - base_lat) * config.eccLatencyServiceWeight;
     }
 
-    Calibrator::Config calibration;
-    calibration.sampling = config.sampling;
-    setup = harness::armHardware(*chip_, ControlPolicy(), calibration);
+    setup = harness::armHardware(*chip_);
     recoveryMgr = harness::armRecovery(*chip_, config.recovery);
 
     sim = std::make_unique<Simulator>(*chip_, config.tick);

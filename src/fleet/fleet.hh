@@ -143,12 +143,12 @@ struct FleetConfig
     Seconds jobPhaseSeconds = 1.0;
 
     /**
-     * Traffic/calibration sampling fidelity for every node.
+     * Traffic sampling fidelity for every node's Simulator.
      * Chip-batched mode aggregates each chip's per-tick weak-line draws
-     * and each sweep's per-line passes into single draws (see
-     * common/sampling.hh) — same statistics, different RNG sequence,
-     * so the default stays exact for byte-compatibility with existing
-     * campaign outputs.
+     * into single draws (see common/sampling.hh) — same statistics,
+     * different RNG sequence, so the default stays exact for
+     * byte-compatibility with existing campaign outputs. Calibration
+     * always runs the exact sweeps.
      */
     SamplingMode sampling = SamplingMode::exact;
 
@@ -187,6 +187,11 @@ class FleetNode
     const RecoveryManager &recovery() const { return *recoveryMgr; }
     const FaultInjector *faultInjector() const { return injector.get(); }
     const FleetMetrics &metrics() const { return shard; }
+    /** The designated line of every voltage domain, from calibration. */
+    const std::vector<WeakLineTarget> &calibrationTargets() const
+    {
+        return setup.targets;
+    }
 
     /** Cores the scheduler may ever use (not abandoned). */
     unsigned schedulableCores() const;

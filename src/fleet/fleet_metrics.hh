@@ -55,7 +55,6 @@ class FleetMetrics
      */
     void enableExactHistogram(Seconds max_latency = 120.0,
                               std::size_t bins = 1200);
-    bool exactHistogramEnabled() const { return bool(exactHistogram); }
 
     /**
      * Record one completed job. @p job_energy is the energy the job's

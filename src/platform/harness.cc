@@ -368,8 +368,7 @@ errorProbabilityPointsPooled(
     const ChipConfig &cfg,
     const std::vector<std::pair<unsigned, Millivolt>> &grid,
     std::size_t first_task, std::size_t last_task,
-    std::uint64_t probes_per_point, ExperimentPool &pool,
-    SamplingMode sampling)
+    std::uint64_t probes_per_point, ExperimentPool &pool)
 {
     last_task = std::min(last_task, grid.size());
     if (first_task > last_task)
@@ -390,7 +389,7 @@ errorProbabilityPointsPooled(
             auto [array, line] = weakestL2Line(chip.core(core_id));
             const ProbeStats stats =
                 array->probeLine(line.set, line.way, v,
-                                 probes_per_point, ctx.rng, sampling);
+                                 probes_per_point, ctx.rng);
 
             ProbeCurvePoint point;
             point.coreId = core_id;
@@ -407,20 +406,6 @@ errorProbabilityPointsPooled(
     points.erase(points.begin(),
                  points.begin() + std::ptrdiff_t(first_task));
     return points;
-}
-
-std::vector<ProbeCurvePoint>
-errorProbabilityCurvesPooled(const ChipConfig &cfg,
-                             const std::vector<unsigned> &cores,
-                             Millivolt span_mv, Millivolt step_mv,
-                             std::uint64_t probes_per_point,
-                             ExperimentPool &pool, SamplingMode sampling)
-{
-    const auto grid =
-        errorProbabilityGrid(cfg, cores, span_mv, step_mv);
-    return errorProbabilityPointsPooled(cfg, grid, 0, grid.size(),
-                                        probes_per_point, pool,
-                                        sampling);
 }
 
 std::vector<std::pair<Millivolt, double>>

@@ -228,23 +228,7 @@ std::vector<ProbeCurvePoint> errorProbabilityPointsPooled(
     const ChipConfig &cfg,
     const std::vector<std::pair<unsigned, Millivolt>> &grid,
     std::size_t first_task, std::size_t last_task,
-    std::uint64_t probes_per_point, ExperimentPool &pool,
-    SamplingMode sampling = SamplingMode::exact);
-
-/**
- * Pooled Fig. 13 curves: one task per (core, Vdd step). The sweep grid
- * for each core spans [weakestVc - span_mv, weakestVc + span_mv] in
- * step_mv steps (descending); points are returned core-major in grid
- * order. Equivalent to errorProbabilityPointsPooled over the full
- * errorProbabilityGrid.
- */
-std::vector<ProbeCurvePoint>
-errorProbabilityCurvesPooled(const ChipConfig &cfg,
-                             const std::vector<unsigned> &cores,
-                             Millivolt span_mv, Millivolt step_mv,
-                             std::uint64_t probes_per_point,
-                             ExperimentPool &pool,
-                             SamplingMode sampling = SamplingMode::exact);
+    std::uint64_t probes_per_point, ExperimentPool &pool);
 
 } // namespace experiments
 

@@ -47,7 +47,6 @@ class Simulator
 
     Chip &chip() { return *chip_; }
     Seconds now() const { return currentTime; }
-    Seconds tickSize() const { return tick_; }
 
     /** Attach the hardware voltage control system (owned elsewhere). */
     void attachControlSystem(VoltageControlSystem *system);
@@ -90,7 +89,6 @@ class Simulator
      * sweep/fleet drivers that only consume aggregate statistics.
      */
     void setSamplingMode(SamplingMode mode) { samplingMode_ = mode; }
-    SamplingMode samplingMode() const { return samplingMode_; }
 
     /** Advance the simulation. */
     void run(Seconds duration);

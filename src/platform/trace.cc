@@ -30,28 +30,6 @@ Trace::meanChipPower() const
     return sum / double(samples_.size());
 }
 
-Watt
-Trace::meanCorePower(unsigned core) const
-{
-    if (samples_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &s : samples_)
-        sum += s.corePower.at(core);
-    return sum / double(samples_.size());
-}
-
-double
-Trace::meanDomainErrorRate(unsigned domain) const
-{
-    if (samples_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &s : samples_)
-        sum += s.domainErrorRate.at(domain);
-    return sum / double(samples_.size());
-}
-
 std::string
 Trace::toTsv() const
 {

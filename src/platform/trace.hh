@@ -52,10 +52,6 @@ class Trace
     Millivolt meanDomainSetpoint(unsigned domain) const;
     /** Mean chip power over the trace (W). */
     Watt meanChipPower() const;
-    /** Mean per-core power over the trace (W). */
-    Watt meanCorePower(unsigned core) const;
-    /** Mean monitor error rate for a domain. */
-    double meanDomainErrorRate(unsigned domain) const;
 
     /** Render as TSV (for offline plotting). */
     std::string toTsv() const;

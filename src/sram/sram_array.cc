@@ -14,15 +14,15 @@ namespace vspec
 SramArray::SramArray(std::string name, std::uint64_t n_cells,
                      const VcDistribution &dist, Millivolt v_floor,
                      Millivolt aging_headroom, Rng &rng)
-    : arrayName(std::move(name)), cellCount(n_cells), cellDist(dist),
-      floorMv(v_floor - aging_headroom)
+    : arrayName(std::move(name)), cellCount(n_cells), cellDist(dist)
 {
     if (n_cells == 0)
         fatal("SramArray '", arrayName, "' must have at least one cell");
     if (dist.sigmaDynamic <= 0.0)
         fatal("SramArray '", arrayName, "' needs a positive sigmaDynamic");
 
-    cells = tail_sampler::sample(rng, n_cells, dist, floorMv);
+    cells = tail_sampler::sample(rng, n_cells, dist,
+                                 v_floor - aging_headroom);
 }
 
 WeakCellSpan

@@ -82,7 +82,6 @@ class SramArray
     const std::string &name() const { return arrayName; }
     std::uint64_t numCells() const { return cellCount; }
     const VcDistribution &distribution() const { return cellDist; }
-    Millivolt materializationFloor() const { return floorMv; }
 
     /** All materialized weak cells, sorted by ascending cell index. */
     const std::vector<WeakCell> &weakCells() const { return cells; }
@@ -98,19 +97,6 @@ class SramArray
     /** Weak cells whose index falls in [lo, hi), copied out. */
     std::vector<WeakCell> weakCellsInRange(std::uint64_t lo,
                                            std::uint64_t hi) const;
-
-    /**
-     * Allocation-free visit of the weak cells in [lo, hi), in ascending
-     * index order.
-     */
-    template <typename Fn>
-    void
-    forEachWeakCellInRange(std::uint64_t lo, std::uint64_t hi,
-                           Fn &&fn) const
-    {
-        for (const WeakCell &cell : weakCellSpan(lo, hi))
-            fn(cell);
-    }
 
     /** Highest critical voltage in [lo, hi); -inf if none weak. */
     Millivolt weakestVcInRange(std::uint64_t lo, std::uint64_t hi) const;
@@ -173,7 +159,6 @@ class SramArray
     std::string arrayName;
     std::uint64_t cellCount;
     VcDistribution cellDist;
-    Millivolt floorMv;
     /** Sorted by ascending cellIndex. */
     std::vector<WeakCell> cells;
     std::uint64_t generation_ = 0;

@@ -61,10 +61,7 @@ buildCampaign(std::uint64_t seed, SamplingMode sampling)
     ChipConfig cfg;
     cfg.seed = seed;
     c.chip = std::make_unique<Chip>(cfg);
-    Calibrator::Config calibration;
-    calibration.sampling = sampling;
-    c.setup =
-        harness::armHardware(*c.chip, ControlPolicy(), calibration);
+    c.setup = harness::armHardware(*c.chip);
     harness::assignSuite(*c.chip, Suite::coreMark, 5.0);
 
     RecoveryManager::Config recovery_cfg;

@@ -592,6 +592,45 @@ expectIdenticalReports(const FleetReport &a, const FleetReport &b)
     EXPECT_EQ(a.injectedDues, b.injectedDues);
 }
 
+std::vector<std::uint8_t>
+chipRngState(FleetNode &node)
+{
+    StateWriter w;
+    w.beginSection("rng");
+    node.chip().rng().saveState(w);
+    w.endSection();
+    return w.finish();
+}
+
+TEST(FleetNode, CalibrationIsTheSameInEverySamplingMode)
+{
+    // The sampling mode selects only the Simulator tick: calibration
+    // always runs the exact sweeps, so two nodes that differ in it
+    // designate the same lines at the same voltages and leave their
+    // chips' generators in the same state.
+    const FleetConfig exact_cfg = smallFleetConfig();
+    FleetConfig batched_cfg = exact_cfg;
+    batched_cfg.sampling = SamplingMode::chipBatched;
+    for (unsigned index = 0; index < exact_cfg.numChips; ++index) {
+        FleetNode exact(exact_cfg, index);
+        FleetNode batched(batched_cfg, index);
+        const auto &want = exact.calibrationTargets();
+        const auto &got = batched.calibrationTargets();
+        ASSERT_FALSE(want.empty());
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t d = 0; d < want.size(); ++d) {
+            EXPECT_EQ(want[d].coreId, got[d].coreId) << "domain " << d;
+            EXPECT_EQ(want[d].cacheName, got[d].cacheName)
+                << "domain " << d;
+            EXPECT_EQ(want[d].set, got[d].set) << "domain " << d;
+            EXPECT_EQ(want[d].way, got[d].way) << "domain " << d;
+            EXPECT_EQ(want[d].firstErrorVdd, got[d].firstErrorVdd)
+                << "domain " << d;
+        }
+        EXPECT_EQ(chipRngState(exact), chipRngState(batched));
+    }
+}
+
 TEST(Fleet, RunIsIdenticalForEveryWorkerThreadCount)
 {
     FleetConfig cfg = smallFleetConfig();

@@ -3,8 +3,7 @@
  * Tests for the fault-sampling hot path: weak-cell span views, the
  * per-line probability LUT (exactness, quantization error bound, aging
  * invalidation), writeLine round trips over 2^16+ distinct words, and
- * the chip-batched sampling mode's statistical equivalence to the
- * exact path.
+ * the chip-batched tick's statistical equivalence to the exact tick.
  */
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_array.hh"
-#include "cache/sweep.hh"
 #include "common/rng.hh"
 #include "cpu/core_model.hh"
 #include "platform/chip.hh"
@@ -304,82 +302,6 @@ TEST(EncodeCache, HammerWithDistinctWordsStaysCorrect)
             ASSERT_EQ(readback.data[w], data[w]);
     }
     EXPECT_GT(line_writes * words, std::uint64_t(1) << 16);
-}
-
-TEST_F(HotPathTest, AggregateRatesMatchPerLineQuantizedSum)
-{
-    ASSERT_FALSE(weakLines.empty());
-    const auto &geo = array.geometry();
-    for (const double dv : {-6.0, -2.0, 0.0, 3.0}) {
-        const Millivolt v = weakLines.front().weakestVc + dv;
-        double agg_c = 0.0, agg_u = 0.0;
-        array.aggregateEventRates(v, agg_c, agg_u);
-
-        // Reference: sum the quantized per-line probabilities over the
-        // whole array (both paths evaluate at the bucket center).
-        double sum_c = 0.0, sum_u = 0.0;
-        for (std::uint64_t set = 0; set < geo.numSets(); ++set) {
-            for (unsigned way = 0; way < geo.associativity; ++way) {
-                double pc = 0.0, pu = 0.0;
-                array.lineEventProbabilities(
-                    set, way, CacheArray::probBucketCenter(v), pc, pu);
-                sum_c += pc;
-                sum_u += pu;
-            }
-        }
-        EXPECT_NEAR(agg_c, sum_c, 1e-7 + 1e-7 * sum_c) << "dv " << dv;
-        EXPECT_NEAR(agg_u, sum_u, 1e-7 + 1e-7 * sum_u) << "dv " << dv;
-
-        // A second call must hit the per-bucket cache and return the
-        // identical stored pair.
-        double again_c = 0.0, again_u = 0.0;
-        array.aggregateEventRates(v, again_c, again_u);
-        EXPECT_EQ(agg_c, again_c);
-        EXPECT_EQ(agg_u, again_u);
-    }
-}
-
-TEST_F(HotPathTest, AggregateRatesInvalidateOnAging)
-{
-    ASSERT_FALSE(weakLines.empty());
-    const Millivolt v = weakLines.front().weakestVc;
-    double before_c = 0.0, before_u = 0.0;
-    array.aggregateEventRates(v, before_c, before_u);
-
-    Rng aging_rng(19);
-    array.sram().applyAgingShift(/*mean_shift=*/6.0,
-                                 /*sigma_shift=*/1.0, aging_rng);
-
-    double after_c = 0.0, after_u = 0.0;
-    array.aggregateEventRates(v, after_c, after_u);
-    // Cells only degrade: the aggregate correctable rate must rise.
-    EXPECT_GT(after_c, before_c);
-}
-
-TEST_F(HotPathTest, ChipBatchedSweepIsStatisticallyEquivalent)
-{
-    ASSERT_FALSE(weakLines.empty());
-    const Millivolt v = std::round((weakLines.front().weakestVc - 1.0) /
-                                   CacheArray::probQuantMv) *
-                        CacheArray::probQuantMv;
-
-    constexpr unsigned reps = 30;
-    constexpr std::uint64_t reads = 500;
-    Rng rng_exact(101), rng_chip(101);
-    std::uint64_t exact_total = 0, chip_total = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-        exact_total += sweep::dataSweep(array, v, reads, rng_exact)
-                           .totalCorrectable;
-        chip_total += sweep::dataSweep(array, v, reads, rng_chip,
-                                       SamplingMode::chipBatched)
-                          .totalCorrectable;
-    }
-
-    ASSERT_GT(exact_total, 0u);
-    ASSERT_GT(chip_total, 0u);
-    const double mean = 0.5 * double(exact_total + chip_total);
-    const double tolerance = 6.0 * std::sqrt(2.0 * mean);
-    EXPECT_NEAR(double(exact_total), double(chip_total), tolerance);
 }
 
 TEST(ChipBatchedCore, TickRatesMatchExactTickExpectation)

@@ -477,10 +477,7 @@ buildMemCampaign(SamplingMode sampling)
     ChipConfig cfg = memChipConfig();
     cfg.memDomains.push_back(MemDomainConfig::hbm());
     c.chip = std::make_unique<Chip>(cfg);
-    Calibrator::Config calibration;
-    calibration.sampling = sampling;
-    c.setup =
-        harness::armHardware(*c.chip, ControlPolicy(), calibration);
+    c.setup = harness::armHardware(*c.chip);
     harness::assignSuite(*c.chip, Suite::coreMark, 5.0);
     c.sim = std::make_unique<Simulator>(*c.chip, 0.005);
     c.sim->setSamplingMode(sampling);

@@ -313,10 +313,7 @@ buildCampaign(SamplingMode sampling)
     ChipConfig cfg;
     cfg.seed = 42;
     c.chip = std::make_unique<Chip>(cfg);
-    Calibrator::Config calibration;
-    calibration.sampling = sampling;
-    c.setup =
-        harness::armHardware(*c.chip, ControlPolicy(), calibration);
+    c.setup = harness::armHardware(*c.chip);
     harness::assignSuite(*c.chip, Suite::coreMark, 5.0);
 
     RecoveryManager::Config recovery_cfg;
