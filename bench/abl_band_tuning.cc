@@ -43,6 +43,7 @@ struct BandResult
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N"});
     setInformEnabled(false);
     ExperimentPool pool(parseThreads(argc, argv));
     banner("Ablation", "controller error-rate band tuning (paper "

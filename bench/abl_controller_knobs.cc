@@ -65,8 +65,9 @@ runCase(const char *label, double probes_per_sec, Seconds interval,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Ablation", "probe rate / control interval / step size");
 

@@ -57,8 +57,9 @@ regulate(ErrorFeedbackSource &source, VoltageRegulator &reg,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Methodology", "firmware self-test framework vs hardware "
                           "ECC monitor (Fig. 8)");

@@ -79,8 +79,9 @@ run(unsigned rank)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Ablation", "monitor placement: weakest vs weaker vs random "
                        "line");

@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -59,6 +61,95 @@ makeHighChip()
     return vspec::Chip(makeHighConfig());
 }
 
+namespace detail
+{
+
+/**
+ * The flag specs the bench's main passed to requireKnownFlags, if it
+ * has called it (perfbench's driver includes this header and parses
+ * its own options, so it never does).
+ */
+inline std::optional<std::vector<std::string>> &
+declaredFlags()
+{
+    static std::optional<std::vector<std::string>> specs;
+    return specs;
+}
+
+/** Does @p spec ("--json", "--threads N") spell @p flag with this arity? */
+inline bool
+specNames(const std::string &spec, const std::string &flag, bool takes_value)
+{
+    const std::size_t space = spec.find(' ');
+    return spec.compare(0, space, flag) == 0 &&
+           (space != std::string::npos) == takes_value;
+}
+
+/**
+ * Abort unless the bench declared @p flag to requireKnownFlags with the
+ * same arity. Every parser below checks the name it reads, so the
+ * declared list and the parse calls cannot drift apart: a bench that
+ * parses a flag its list leaves out aborts on its first run instead of
+ * refusing that flag.
+ */
+inline void
+checkDeclared(const std::string &flag, bool takes_value)
+{
+    const auto &specs = declaredFlags();
+    if (!specs)
+        return;
+    for (const std::string &spec : *specs) {
+        if (specNames(spec, flag, takes_value))
+            return;
+    }
+    std::fprintf(stderr,
+                 "bench parses '%s%s', which its requireKnownFlags list "
+                 "does not declare\n",
+                 flag.c_str(), takes_value ? " V" : "");
+    std::abort();
+}
+
+} // namespace detail
+
+/**
+ * Exit 2 with a usage line unless every argument is one of @p flags.
+ * Each entry spells a flag as the usage line shows it: "--json" for a
+ * bare flag, "--threads N" for one that takes a value, which may come
+ * as "--threads N" or "--threads=N". Every bench main calls this
+ * first; the parsers below then read only flags declared here.
+ */
+inline void
+requireKnownFlags(int argc, char **argv,
+                  std::initializer_list<const char *> flags)
+{
+    auto &specs = detail::declaredFlags().emplace(flags.begin(), flags.end());
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const std::string name = arg.substr(0, eq);
+        bool known = false;
+        for (const std::string &spec : specs) {
+            if (detail::specNames(spec, name, false)) {
+                known = eq == std::string::npos;
+                break;
+            }
+            if (detail::specNames(spec, name, true)) {
+                known = eq != std::string::npos || ++i < argc;
+                break;
+            }
+        }
+        if (known)
+            continue;
+        std::fprintf(stderr, "%s: unknown or incomplete argument '%s'\n"
+                             "usage: %s",
+                     argv[0], arg.c_str(), argv[0]);
+        for (const std::string &spec : specs)
+            std::fprintf(stderr, " [%s]", spec.c_str());
+        std::fprintf(stderr, "\n");
+        std::exit(2);
+    }
+}
+
 /**
  * Worker-thread count from a "--threads N" / "--threads=N" argument;
  * 0 (the default) means one worker per hardware thread. Results are
@@ -67,6 +158,7 @@ makeHighChip()
 inline unsigned
 parseThreads(int argc, char **argv)
 {
+    detail::checkDeclared("--threads", true);
     unsigned threads = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -88,6 +180,7 @@ parseDoubleArg(int argc, char **argv, const std::string &name,
                double fallback)
 {
     const std::string flag = "--" + name;
+    detail::checkDeclared(flag, true);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == flag && i + 1 < argc)
@@ -107,6 +200,7 @@ parseStringArg(int argc, char **argv, const std::string &name,
                const std::string &fallback)
 {
     const std::string flag = "--" + name;
+    detail::checkDeclared(flag, true);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == flag && i + 1 < argc)
@@ -156,6 +250,7 @@ samplingName(vspec::SamplingMode mode)
 inline bool
 parseJson(int argc, char **argv)
 {
+    detail::checkDeclared("--json", false);
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--json")
             return true;
@@ -168,6 +263,7 @@ inline bool
 parseBoolFlag(int argc, char **argv, const std::string &name)
 {
     const std::string flag = "--" + name;
+    detail::checkDeclared(flag, false);
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == flag)
             return true;

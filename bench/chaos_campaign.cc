@@ -443,6 +443,8 @@ scaleTrial(unsigned trial, std::uint64_t seed, Seconds duration,
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--trials N", "--duration S", "--seed N",
+                                   "--artifact-dir DIR", "--threads N"});
     setInformEnabled(false);
     const unsigned trials = unsigned(
         parseDoubleArg(argc, argv, "trials", 3.0));

@@ -19,8 +19,9 @@ using namespace vspec;
 using namespace vspec_bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Extension", "speculation potential vs operating frequency");
 

@@ -22,6 +22,7 @@ using namespace vspec_bench;
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N"});
     setInformEnabled(false);
     ExperimentPool pool(parseThreads(argc, argv));
     banner("Figure 1", "lowest safe Vdd per core, high and low "

@@ -52,6 +52,7 @@ sweepRegime(const char *label, const ChipConfig &cfg,
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N"});
     setInformEnabled(false);
     ExperimentPool pool(parseThreads(argc, argv));
     banner("Figure 3", "average correctable errors vs speculation "

@@ -18,6 +18,7 @@ using namespace vspec_bench;
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--json"});
     setInformEnabled(false);
     const bool json = parseJson(argc, argv);
     if (!json)

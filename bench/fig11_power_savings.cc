@@ -29,6 +29,7 @@ coreRailPower(Chip &chip, Seconds t)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--json"});
     setInformEnabled(false);
     const bool json = parseJson(argc, argv);
     if (!json)

@@ -15,8 +15,9 @@ using namespace vspec;
 using namespace vspec_bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Figure 12", "dynamic adaptation: mcf followed by crafty");
 

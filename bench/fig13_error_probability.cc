@@ -122,6 +122,9 @@ readCheckpoint(const std::string &path, std::uint64_t expected_probes,
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N", "--json", "--probes N",
+                                   "--halt-after N", "--checkpoint-every N",
+                                   "--checkpoint FILE", "--resume FILE"});
     setInformEnabled(false);
     ExperimentPool pool(parseThreads(argc, argv));
     const bool json = parseJson(argc, argv);

@@ -64,8 +64,9 @@ runCase(const char *label, bool main_loaded)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Figure 14", "adaptation to stress-kernel load swings on "
                         "the shared rail");

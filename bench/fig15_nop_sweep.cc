@@ -16,8 +16,9 @@ using namespace vspec;
 using namespace vspec_bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Figure 15", "self-test errors vs NOP count of the voltage "
                         "virus");

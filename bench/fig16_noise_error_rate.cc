@@ -16,8 +16,9 @@ using namespace vspec;
 using namespace vspec_bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Figure 16", "error rate vs Vdd under different auxiliary "
                         "loads");

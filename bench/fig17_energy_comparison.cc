@@ -53,8 +53,9 @@ runCase(Chip &chip, Suite suite, VoltageControlSystem *hw,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Figure 17", "energy: hardware vs software speculation, "
                         "relative to nominal");

@@ -202,6 +202,8 @@ emitReport(JsonWriter &doc, const FleetReport &r)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N", "--json", "--sampling MODE",
+                                   "--duration S", "--chips N"});
     setInformEnabled(false);
     const unsigned threads = parseThreads(argc, argv);
     const bool json = parseJson(argc, argv);

@@ -130,6 +130,8 @@ runFleet(const FleetConfig &cfg, Seconds duration, ExperimentPool &pool)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N", "--json", "--duration S",
+                                   "--fleet-duration S"});
     setInformEnabled(false);
     const unsigned threads = parseThreads(argc, argv);
     const bool json = parseJson(argc, argv);

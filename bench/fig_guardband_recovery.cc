@@ -198,6 +198,9 @@ runConfig(std::size_t config_index, unsigned weeks, Seconds settle,
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N", "--json", "--weeks N",
+                                   "--settle S", "--temp-swing C",
+                                   "--sampling MODE"});
     setInformEnabled(false);
     const unsigned threads = parseThreads(argc, argv);
     const bool json = parseJson(argc, argv);

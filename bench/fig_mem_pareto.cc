@@ -184,6 +184,9 @@ summarize(MemKind kind, Celsius temp)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N", "--json", "--probes N",
+                                   "--vmax MV", "--vmin MV", "--vstep MV",
+                                   "--temp C", "--sampling MODE"});
     setInformEnabled(false);
     const unsigned threads = parseThreads(argc, argv);
     const bool json = parseJson(argc, argv);

@@ -230,6 +230,9 @@ runWithoutRecovery(SamplingMode sampling, Seconds duration)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--sampling MODE", "--duration S",
+                                   "--halt-at S", "--checkpoint-every S",
+                                   "--checkpoint FILE", "--resume FILE"});
     setInformEnabled(false);
     const SamplingMode sampling = parseSampling(argc, argv);
     const Seconds duration =

@@ -422,6 +422,11 @@ printPolicyRow(SchedulerPolicy policy, const FleetReport &r)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--threads N", "--json", "--sampling MODE",
+                                   "--duration S", "--halt-at S",
+                                   "--checkpoint-every S", "--checkpoint FILE",
+                                   "--resume FILE", "--chips N",
+                                   "--latency-exact", "--perf FILE"});
     setInformEnabled(false);
     const unsigned threads = parseThreads(argc, argv);
     const bool json = parseJson(argc, argv);

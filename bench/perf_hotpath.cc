@@ -159,6 +159,8 @@ fleetSliceConfig(SamplingMode sampling)
 int
 main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {"--json", "--min-probe-speedup X",
+                                   "--min-sweep-speedup X", "--threads N"});
     setInformEnabled(false);
     const bool json = parseJson(argc, argv);
     const double min_probe =

@@ -10,8 +10,9 @@ using namespace vspec;
 using namespace vspec_bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireKnownFlags(argc, argv, {});
     setInformEnabled(false);
     banner("Table I", "architectural and system details");
 

@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vspec
@@ -52,12 +54,6 @@ Cache::findWay(std::uint64_t set, std::uint64_t tag) const
     return std::nullopt;
 }
 
-bool
-Cache::probeTag(std::uint64_t addr) const
-{
-    return findWay(setOf(addr), tagOf(addr)).has_value();
-}
-
 unsigned
 Cache::victimWay(std::uint64_t set) const
 {
@@ -81,39 +77,52 @@ Cache::victimWay(std::uint64_t set) const
     return *victim;
 }
 
+std::optional<CacheAccess>
+Cache::accessIfHit(std::uint64_t addr, Millivolt v_eff, Rng &rng)
+{
+    const std::uint64_t set = setOf(addr);
+    const auto way = findWay(set, tagOf(addr));
+    if (!way)
+        return std::nullopt;
+    ++hits;
+    return readWay(set, *way, true, v_eff, rng);
+}
+
 CacheAccess
 Cache::access(std::uint64_t addr, Millivolt v_eff, Rng &rng)
 {
+    if (auto hit = accessIfHit(addr, v_eff, rng))
+        return std::move(*hit);
+
     const std::uint64_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
-
-    CacheAccess result;
-    result.set = set;
-
-    auto way = findWay(set, tag);
-    if (way) {
-        result.hit = true;
-        result.way = *way;
-        ++hits;
-    } else {
-        result.hit = false;
-        result.way = victimWay(set);
-        auto &e = entry(set, result.way);
-        e.valid = true;
-        e.tag = tag;
-        ++misses;
-        // Model the fill: the incoming line is written to the data
-        // array (contents abstracted as the line address pattern).
-        array.writePattern(set, result.way, addr / lineBytes);
+    const unsigned way = victimWay(set);
+    entry(set, way) = {true, tagOf(addr)};
+    ++misses;
+    // Model the fill: the incoming line is written to the data array
+    // (contents abstracted as the line address pattern).
+    const std::uint64_t pattern = addr / lineBytes;
+    if (!fillMemo) {
+        fillMemo = std::make_unique<std::pair<std::uint64_t, Codeword>[]>(
+            fillSlots);
+        std::fill_n(fillMemo.get(), fillSlots,
+                    std::pair(std::uint64_t(0), array.codec().encode(0)));
     }
+    auto &[filled, encoded] = fillMemo[mix64(pattern) & (fillSlots - 1)];
+    if (filled != pattern) {
+        filled = pattern;
+        encoded = array.codec().encode(pattern);
+    }
+    array.fillLine(set, way, encoded);
+    return readWay(set, way, false, v_eff, rng);
+}
 
-    entry(set, result.way).lruStamp = ++lruClock;
-
-    array.readLine(set, result.way, v_eff, rng, readBuffer);
-    if (!readBuffer.events.empty())
-        result.events = readBuffer.events;
-    result.uncorrectable = readBuffer.uncorrectable;
-    return result;
+CacheAccess
+Cache::readWay(std::uint64_t set, unsigned way, bool hit, Millivolt v_eff,
+               Rng &rng)
+{
+    entry(set, way).lruStamp = ++lruClock;
+    array.readLine(set, way, v_eff, rng, readBuffer);
+    return {hit, set, way, readBuffer.events, readBuffer.uncorrectable};
 }
 
 void

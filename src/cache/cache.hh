@@ -14,7 +14,9 @@
 #define VSPEC_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -50,9 +52,6 @@ class Cache
     /** Tag for a byte address. */
     std::uint64_t tagOf(std::uint64_t addr) const;
 
-    /** Is the address currently resident? (No state change.) */
-    bool probeTag(std::uint64_t addr) const;
-
     /**
      * Access the cache at effective supply v_eff. On a hit the data
      * array is read (sampling ECC events) and LRU is updated. On a miss
@@ -60,6 +59,10 @@ class Cache
      * deconfigured lines, and then read.
      */
     CacheAccess access(std::uint64_t addr, Millivolt v_eff, Rng &rng);
+
+    /** The hit half of access, on one tag lookup: a miss changes nothing. */
+    std::optional<CacheAccess> accessIfHit(std::uint64_t addr,
+                                           Millivolt v_eff, Rng &rng);
 
     /** Invalidate every line (keeps deconfiguration). */
     void invalidateAll();
@@ -97,12 +100,25 @@ class Cache
     std::vector<TagEntry> tags;
     /**
      * Every access reads its line into this buffer, so reads reuse its
-     * capacity; access copies the events out only when there are any.
+     * capacity; copying out its events allocates only if there are any.
      */
     LineReadResult readBuffer;
     std::uint64_t lruClock = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+
+    /**
+     * (pattern, codeword) of past fills, direct-mapped on the mixed
+     * pattern and allocated on the first fill with every slot valid:
+     * the self-test refills the same dozen lines, so most fills reuse
+     * an encode. A collision only re-encodes.
+     */
+    static constexpr std::size_t fillSlots = 256;
+    std::unique_ptr<std::pair<std::uint64_t, Codeword>[]> fillMemo;
+
+    /** Stamp LRU and read the line (set, way) into a CacheAccess. */
+    CacheAccess readWay(std::uint64_t set, unsigned way, bool hit,
+                        Millivolt v_eff, Rng &rng);
 
     TagEntry &entry(std::uint64_t set, unsigned way);
     const TagEntry &entry(std::uint64_t set, unsigned way) const;

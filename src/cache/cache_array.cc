@@ -205,17 +205,6 @@ CacheArray::lineWeakSpan(std::uint64_t set, unsigned way) const
     return WeakCellSpan(base + begin, base + end);
 }
 
-std::vector<WeakCell>
-CacheArray::lineWeakCells(std::uint64_t set, unsigned way) const
-{
-    const std::uint64_t base = lineCellBase(set, way);
-    const WeakCellSpan span = lineWeakSpan(set, way);
-    std::vector<WeakCell> weak(span.begin(), span.end());
-    for (auto &cell : weak)
-        cell.cellIndex -= base;
-    return weak;
-}
-
 void
 CacheArray::readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
                      Rng &rng, LineReadResult &out) const
@@ -225,32 +214,49 @@ CacheArray::readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
     out.events.clear();
     out.uncorrectable = false;
 
-    const std::uint64_t cell_base = lineCellBase(set, way);
-    cells.sampleAccessFlipsInto(lineWeakSpan(set, way), cell_base, v_eff,
-                                rng, flipScratch);
+    if (!readMemo) {
+        readMemo = std::make_unique<ReadMemo>();
+        readMemo->lineEpoch.assign(lineWeakIndex.size(), 0);
+        readMemo->cellProb.resize(cells.weakCells().size());
+    }
+    ReadMemo &memo = *readMemo;
+    // vEff starts as NaN, so the first read opens epoch 1, in which no
+    // line is filled yet.
+    if (!(memo.vEff == v_eff) || memo.generation != cells.generation()) {
+        memo.vEff = v_eff;
+        memo.generation = cells.generation();
+        ++memo.epoch;
+    }
+    const std::uint64_t line = lineIndex(set, way);
+    const auto &[begin, end] = lineWeakIndex[line];
+    const WeakCell *weak = cells.weakCells().data();
+    if (memo.lineEpoch[line] != memo.epoch) {
+        for (std::uint32_t i = begin; i < end; ++i)
+            memo.cellProb[i] = cells.failureProbability(weak[i], v_eff);
+        memo.lineEpoch[line] = memo.epoch;
+    }
 
-    // Flips come out in ascending cell order, i.e. already grouped by
-    // codeword — walk them with a single cursor while iterating words.
+    // The stored words, then one Bernoulli per weak cell in ascending
+    // index order, each flip applied to its word.
+    const std::uint64_t word_base = line * wordsPerLine;
+    std::vector<Codeword> &observed = memo.observed;
+    observed.assign(store.begin() + word_base,
+                    store.begin() + word_base + wordsPerLine);
     const unsigned cw_bits = eccCodec->codewordBits();
-    std::size_t next_flip = 0;
+    const std::uint64_t cell_base = line * cellsPerLine;
+    for (std::uint32_t i = begin; i < end; ++i) {
+        if (rng.bernoulli(memo.cellProb[i])) {
+            const std::uint64_t bit = weak[i].cellIndex - cell_base;
+            observed[bit / cw_bits].flipBit(unsigned(bit % cw_bits));
+        }
+    }
 
     // Pattern fills store one codeword in every word and most words
     // take no flip, so runs of equal observed codewords share a decode.
-    Codeword previous;
     DecodeResult decoded;
-    const std::uint64_t word_base = lineIndex(set, way) * wordsPerLine;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
-        Codeword observed = store[word_base + w];
-        while (next_flip < flipScratch.size() &&
-               flipScratch[next_flip] / cw_bits == w) {
-            observed.flipBit(unsigned(flipScratch[next_flip] % cw_bits));
-            ++next_flip;
-        }
-
-        if (w == 0 || !(observed == previous)) {
-            decoded = eccCodec->decode(observed);
-            previous = observed;
-        }
+        if (w == 0 || !(observed[w] == observed[w - 1]))
+            decoded = eccCodec->decode(observed[w]);
         out.data[w] = decoded.data;
 
         if (decoded.status != EccStatus::ok) {
@@ -641,11 +647,13 @@ CacheArray::loadState(StateReader &r)
     // The probability LUT keys on the SRAM generation, but entries
     // computed against the pre-restore population could alias a
     // restored generation value; drop them outright. The weakest-Vc
-    // memo has the same aliasing exposure, so it drops too.
+    // memo and readLine's memo have the same aliasing exposure, so
+    // they drop too.
     if (!probCache.empty())
         std::fill(probCache.begin(), probCache.end(), ProbSlot{});
     probCacheGeneration = cells.generation();
     weakestVcValid = false;
+    readMemo.reset();
 }
 
 } // namespace vspec

@@ -28,6 +28,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -135,7 +136,10 @@ class CacheArray
     /**
      * Bit-accurate read of a full line at effective supply v_eff into
      * @p out: the decoded words, one event per word that did not
-     * decode clean, and whether any was uncorrectable. A word is
+     * decode clean, and whether any was uncorrectable. Each weak cell
+     * of the line draws one Bernoulli, in ascending index order, on
+     * its failure probability, remembered from the line's first read
+     * at this exact v_eff and SRAM generation (ReadMemo). A word is
      * decoded only when its observed codeword (stored word plus
      * sampled flips) differs from the previous word's; otherwise the
      * previous word's result is reused, which is exact because decode
@@ -254,10 +258,6 @@ class CacheArray
         return Millivolt(probBucketIndex(v_eff)) * probQuantMv;
     }
 
-    /** Weak cells of one line (positions relative to the line). */
-    std::vector<WeakCell> lineWeakCells(std::uint64_t set,
-                                        unsigned way) const;
-
     /**
      * Allocation-free view of one line's weak cells (flat array
      * indices, not rebased): O(1) via the per-line range index built at
@@ -320,10 +320,10 @@ class CacheArray
      * Serialize the array's dynamic state: the SRAM population (aged
      * critical voltages), the stored codewords (run-length encoded —
      * the store is dominated by repeated pattern/zero encodings) and
-     * the per-line deconfiguration flags. The probability LUT and the
-     * weakest-Vc memo are derived caches and are re-derived, never
-     * serialized; loadState drops them so no stale pre-restore entry
-     * survives.
+     * the per-line deconfiguration flags. The probability LUT, the
+     * weakest-Vc memo and readLine's memo are derived caches and are
+     * re-derived, never serialized; loadState drops them so no stale
+     * pre-restore entry survives.
      */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r);
@@ -409,8 +409,22 @@ class CacheArray
     mutable std::vector<ProbSlot> probCache;
     mutable std::uint64_t probCacheGeneration = 0;
 
-    /** Scratch for readLine's flip sampling (no per-call allocation). */
-    mutable std::vector<std::uint64_t> flipScratch;
+    /**
+     * readLine's memo, allocated on the first read: each weak cell's
+     * failure probability at the exact vEff and SRAM generation, filled
+     * on a line's first read there (lineEpoch[line] == epoch). A new key
+     * bumps the epoch; loadState drops the memo (generations alias).
+     */
+    struct ReadMemo
+    {
+        Millivolt vEff = std::nan("");
+        std::uint64_t generation = 0;
+        std::uint64_t epoch = 0;
+        std::vector<std::uint64_t> lineEpoch;
+        std::vector<double> cellProb;
+        std::vector<Codeword> observed;
+    };
+    mutable std::unique_ptr<ReadMemo> readMemo;
 
     /** Uncached exact fold of a line's weak cells from cell @p base. */
     void computeLineEventProbabilities(WeakCellSpan span,

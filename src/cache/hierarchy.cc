@@ -18,26 +18,17 @@ CacheHierarchy::CacheHierarchy(std::unique_ptr<Cache> l1_cache,
 HierarchyAccess
 CacheHierarchy::access(std::uint64_t addr, Millivolt v_eff, Rng &rng)
 {
-    HierarchyAccess result;
-
-    if (l1Cache->probeTag(addr)) {
-        CacheAccess l1 = l1Cache->access(addr, v_eff, rng);
-        result.level = HitLevel::l1;
-        result.events = std::move(l1.events);
-        result.uncorrectable = l1.uncorrectable;
-        return result;
-    }
+    if (auto l1 = l1Cache->accessIfHit(addr, v_eff, rng))
+        return {HitLevel::l1, std::move(l1->events), l1->uncorrectable};
 
     CacheAccess l2 = l2Cache->access(addr, v_eff, rng);
-    result.level = l2.hit ? HitLevel::l2 : HitLevel::memory;
-    result.events = std::move(l2.events);
-    result.uncorrectable = l2.uncorrectable;
-
     // Fill the L1 with the (corrected) data.
     CacheAccess l1 = l1Cache->access(addr, v_eff, rng);
+    HierarchyAccess result{l2.hit ? HitLevel::l2 : HitLevel::memory,
+                           std::move(l2.events),
+                           l2.uncorrectable || l1.uncorrectable};
     result.events.insert(result.events.end(), l1.events.begin(),
                          l1.events.end());
-    result.uncorrectable = result.uncorrectable || l1.uncorrectable;
     return result;
 }
 

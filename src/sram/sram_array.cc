@@ -69,27 +69,6 @@ SramArray::failureProbability(const WeakCell &cell, Millivolt v_eff) const
     return math::normalCdf((cell.vc - v_eff) / cellDist.sigmaDynamic);
 }
 
-std::vector<std::uint64_t>
-SramArray::sampleAccessFlips(std::uint64_t lo, std::uint64_t hi,
-                             Millivolt v_eff, Rng &rng) const
-{
-    std::vector<std::uint64_t> flips;
-    sampleAccessFlipsInto(weakCellSpan(lo, hi), lo, v_eff, rng, flips);
-    return flips;
-}
-
-void
-SramArray::sampleAccessFlipsInto(WeakCellSpan span, std::uint64_t base,
-                                 Millivolt v_eff, Rng &rng,
-                                 std::vector<std::uint64_t> &out) const
-{
-    out.clear();
-    for (const auto &cell : span) {
-        if (rng.bernoulli(failureProbability(cell, v_eff)))
-            out.push_back(cell.cellIndex - base);
-    }
-}
-
 void
 SramArray::applyAgingShift(Millivolt mean_shift, Millivolt sigma_shift,
                            Rng &rng)

@@ -111,26 +111,6 @@ class SramArray
     double failureProbability(const WeakCell &cell, Millivolt v_eff) const;
 
     /**
-     * Sample which cells in [lo, hi) flip during a single access at
-     * v_eff. Returns indices relative to lo.
-     */
-    std::vector<std::uint64_t> sampleAccessFlips(std::uint64_t lo,
-                                                 std::uint64_t hi,
-                                                 Millivolt v_eff,
-                                                 Rng &rng) const;
-
-    /**
-     * Allocation-free flavor: sample flips over an already-resolved
-     * span, appending cell indices relative to @p base into @p out
-     * (cleared first). Draw order matches sampleAccessFlips exactly —
-     * one Bernoulli per weak cell, ascending index — so the two paths
-     * consume identical RNG streams.
-     */
-    void sampleAccessFlipsInto(WeakCellSpan span, std::uint64_t base,
-                               Millivolt v_eff, Rng &rng,
-                               std::vector<std::uint64_t> &out) const;
-
-    /**
      * Shift every materialized cell's critical voltage by an
      * independent draw from N(mean_shift, sigma_shift) — the aging hook
      * (cells only degrade; negative draws are clamped to zero).
@@ -142,7 +122,8 @@ class SramArray
     /**
      * Monotonic counter bumped whenever cell critical voltages change
      * (aging). Consumers caching probabilities derived from the cells
-     * (CacheArray's per-line LUT) compare it to detect staleness.
+     * (CacheArray's per-line LUT and readLine memo) compare it to detect
+     * staleness.
      */
     std::uint64_t generation() const { return generation_; }
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include "cache/cache_array.hh"
 #include "cache/geometry.hh"
 #include "common/rng.hh"
+#include "reference_flips.hh"
+#include "snapshot/state_io.hh"
 
 namespace vspec
 {
@@ -223,7 +226,7 @@ TEST(CacheArray, WeakLinesSortedAndComplete)
         if (i > 0)
             EXPECT_LE(lines[i].weakestVc, lines[i - 1].weakestVc);
         cells += lines[i].weakCellCount;
-        EXPECT_EQ(array.lineWeakCells(lines[i].set, lines[i].way).size(),
+        EXPECT_EQ(array.lineWeakSpan(lines[i].set, lines[i].way).size(),
                   lines[i].weakCellCount);
     }
     EXPECT_EQ(cells, array.sram().weakCells().size());
@@ -367,11 +370,41 @@ TEST(Cache, LruEvictsOldest)
             cache.access(a, 800.0, draw);
     }
     cache.access(geo.associativity * span, 800.0, draw);  // Evicts.
-    EXPECT_FALSE(cache.probeTag(addrs[1]));
+    EXPECT_FALSE(cache.accessIfHit(addrs[1], 800.0, draw).has_value());
     for (std::uint64_t a : addrs) {
-        if (a != addrs[1])
-            EXPECT_TRUE(cache.probeTag(a));
+        if (a != addrs[1]) {
+            EXPECT_TRUE(cache.accessIfHit(a, 800.0, draw).has_value());
+        }
     }
+}
+
+/**
+ * accessIfHit on a miss changes nothing: no counter, no LRU stamp, no
+ * draw. A twin that never made the call evicts the same way next.
+ */
+TEST(Cache, AccessIfHitLeavesAMissUnchanged)
+{
+    Rng rng_a(21), rng_b(21);
+    Cache probed(smallGeometry(), quietDist(), 150.0, rng_a);
+    Cache twin(smallGeometry(), quietDist(), 150.0, rng_b);
+    const auto &geo = probed.geometry();
+    const std::uint64_t span = geo.numSets() * geo.lineBytes;
+
+    Rng draw_a(22), draw_b(22);
+    for (unsigned i = 0; i < geo.associativity; ++i) {
+        probed.access(i * span, 800.0, draw_a);
+        twin.access(i * span, 800.0, draw_b);
+    }
+    const std::uint64_t absent = geo.associativity * span;
+    EXPECT_FALSE(probed.accessIfHit(absent, 800.0, draw_a).has_value());
+    EXPECT_EQ(probed.hitCount(), 0u);
+    EXPECT_EQ(probed.missCount(), geo.associativity);
+
+    const CacheAccess got = probed.access(absent, 800.0, draw_a);
+    const CacheAccess want = twin.access(absent, 800.0, draw_b);
+    EXPECT_FALSE(got.hit);
+    EXPECT_EQ(got.way, want.way);
+    EXPECT_EQ(draw_a.next(), draw_b.next());
 }
 
 TEST(Cache, DeconfiguredWayNeverAllocated)
@@ -395,9 +428,9 @@ TEST(Cache, InvalidateAllDropsResidency)
     Cache cache(smallGeometry(), quietDist(), 150.0, rng);
     Rng draw(19);
     cache.access(0x1000, 800.0, draw);
-    EXPECT_TRUE(cache.probeTag(0x1000));
+    EXPECT_TRUE(cache.accessIfHit(0x1000, 800.0, draw).has_value());
     cache.invalidateAll();
-    EXPECT_FALSE(cache.probeTag(0x1000));
+    EXPECT_FALSE(cache.accessIfHit(0x1000, 800.0, draw).has_value());
 }
 
 /**
@@ -654,6 +687,167 @@ TEST(CacheArray, PatternLineWithStoredFlipReadsArePinned)
         EXPECT_EQ(digest.uncorrectable, pin.uncorrectable)
             << schemeName(pin.scheme);
     }
+}
+
+/** Fold @p reads reads of @p line at v_eff into @p digest. */
+void
+foldReads(const CacheArray &array, const WeakLineInfo &line,
+          Millivolt v_eff, int reads, Rng &draw, ReadDigest &digest)
+{
+    LineReadResult read;
+    for (int i = 0; i < reads; ++i) {
+        array.readLine(line.set, line.way, v_eff, draw, read);
+        for (const EccEvent &event : read.events) {
+            digest.fold(event.word);
+            digest.fold(std::uint64_t(event.status));
+            digest.corrected += event.status == EccStatus::correctedSingle;
+            digest.uncorrectable +=
+                event.status == EccStatus::uncorrectable;
+        }
+        for (std::uint64_t word : read.data)
+            digest.fold(word);
+    }
+}
+
+void
+expectSameReads(const ReadDigest &got, const ReadDigest &want)
+{
+    EXPECT_EQ(got.hash, want.hash);
+    EXPECT_EQ(got.corrected, want.corrected);
+    EXPECT_EQ(got.uncorrectable, want.uncorrectable);
+}
+
+/**
+ * readLine's probability memo keys on the SRAM generation: reads at
+ * one v_eff before and after an aging shift draw, after it, exactly
+ * what a twin aged the same way draws with no read before the shift.
+ */
+TEST(CacheArray, ReadMemoFollowsAgingShift)
+{
+    const auto build = [] {
+        Rng rng(51);
+        return std::make_unique<CacheArray>(smallGeometry(), noisyDist(),
+                                            465.0, rng);
+    };
+    const auto read_before = build();
+    const auto twin = build();
+    const WeakLineInfo line = twin->weakestLine();
+    ASSERT_GT(line.weakCellCount, 1u);
+    const Millivolt v = line.weakestVc - 10.0;
+    for (CacheArray *array : {read_before.get(), twin.get()})
+        array->writePattern(line.set, line.way, 0x5A5A5A5A5A5A5A5AULL);
+
+    ReadDigest before;
+    Rng warm(52);
+    foldReads(*read_before, line, v, 100, warm, before);
+    ASSERT_GT(before.corrected, 0u);
+
+    for (CacheArray *array : {read_before.get(), twin.get()}) {
+        Rng age(53);
+        array->sram().applyAgingShift(20.0, 5.0, age);
+    }
+    ReadDigest got, want;
+    Rng draw(54), reference(54);
+    foldReads(*read_before, line, v, 100, draw, got);
+    foldReads(*twin, line, v, 100, reference, want);
+    expectSameReads(got, want);
+    EXPECT_EQ(draw.next(), reference.next());
+}
+
+/**
+ * A restore that brings back the generation the memo was filled at,
+ * with critical voltages 100 mV higher, reads like the fresh twin the
+ * state came from: nothing derived from the old voltages may survive
+ * loadState.
+ */
+TEST(CacheArray, ReadMemoDroppedOnAliasedRestore)
+{
+    const auto aged = [](Millivolt shift) {
+        Rng build(55);
+        auto array = std::make_unique<CacheArray>(
+            smallGeometry(), noisyDist(), 465.0, build);
+        Rng age(1);
+        array->sram().applyAgingShift(shift, 0.0, age);
+        return array;
+    };
+    const auto restored = aged(0.0);
+    const auto twin = aged(100.0);
+    ASSERT_EQ(restored->sram().generation(), twin->sram().generation());
+    const WeakLineInfo line = twin->weakestLine();
+    const Millivolt v = line.weakestVc - 10.0;
+    twin->writePattern(line.set, line.way, 0x5A5A5A5A5A5A5A5AULL);
+
+    // Before the restore every cell of the line sits 90+ mV below v.
+    ReadDigest before;
+    Rng warm(56);
+    foldReads(*restored, line, v, 20, warm, before);
+    ASSERT_EQ(before.corrected + before.uncorrectable, 0u);
+
+    StateWriter w;
+    w.beginSection("array");
+    twin->saveState(w);
+    w.endSection();
+    StateReader r(w.finish());
+    r.beginSection("array");
+    restored->loadState(r);
+    r.endSection();
+    ASSERT_EQ(restored->sram().generation(), twin->sram().generation());
+
+    ReadDigest got, want;
+    Rng draw(57), reference(57);
+    foldReads(*restored, line, v, 100, draw, got);
+    foldReads(*twin, line, v, 100, reference, want);
+    ASSERT_GT(want.corrected, 0u);
+    expectSameReads(got, want);
+    EXPECT_EQ(draw.next(), reference.next());
+}
+
+/**
+ * Reads at v1, v2 and v1 again decode exactly what the uncached
+ * reference draw gives: the same flips from the same stream, read
+ * after read, so the memo refills on every change of voltage.
+ */
+TEST(CacheArray, ReadsAcrossVoltagesMatchUncachedDraws)
+{
+    Rng rng(58);
+    CacheArray array(smallGeometry(), noisyDist(), 465.0, rng);
+    const WeakLineInfo line = array.weakestLine();
+    const std::uint64_t pattern = 0x3C3C3C3C3C3C3C3CULL;
+    array.writePattern(line.set, line.way, pattern);
+    const Codeword stored = array.codec().encode(pattern);
+    const unsigned cw_bits = array.codec().codewordBits();
+    const WeakCellSpan span = array.lineWeakSpan(line.set, line.way);
+    const std::uint64_t base = array.lineCellBase(line.set, line.way);
+
+    Rng draw(59), reference(59);
+    LineReadResult read;
+    std::uint64_t events = 0;
+    for (Millivolt v : {line.weakestVc - 5.0, line.weakestVc - 30.0,
+                        line.weakestVc - 5.0}) {
+        for (int i = 0; i < 100; ++i) {
+            array.readLine(line.set, line.way, v, draw, read);
+            std::vector<Codeword> observed(read.data.size(), stored);
+            for (std::uint64_t flip :
+                 referenceFlips(array.sram(), span, base, v, reference))
+                observed[flip / cw_bits].flipBit(unsigned(flip % cw_bits));
+
+            std::size_t next_event = 0;
+            for (std::size_t w = 0; w < observed.size(); ++w) {
+                const DecodeResult want = array.codec().decode(observed[w]);
+                EXPECT_EQ(read.data[w], want.data);
+                if (want.status == EccStatus::ok)
+                    continue;
+                ASSERT_LT(next_event, read.events.size());
+                EXPECT_EQ(read.events[next_event].word, w);
+                EXPECT_EQ(read.events[next_event].status, want.status);
+                ++next_event;
+            }
+            EXPECT_EQ(next_event, read.events.size());
+            events += read.events.size();
+        }
+    }
+    EXPECT_GT(events, 0u);
+    EXPECT_EQ(draw.next(), reference.next());
 }
 
 } // namespace

@@ -50,7 +50,7 @@ TEST_F(CalibratorTest, FindsDomainWeakestLine)
              core->l2dArray().weakestLine().weakestVc});
     }
     const auto designated =
-        target->array->lineWeakCells(target->set, target->way);
+        target->array->lineWeakSpan(target->set, target->way);
     ASSERT_FALSE(designated.empty());
     Millivolt designated_vc = 0.0;
     for (const auto &cell : designated)
@@ -68,7 +68,7 @@ TEST_F(CalibratorTest, FirstErrorVddAboveWeakestVc)
     ASSERT_TRUE(target.has_value());
 
     const auto cells =
-        target->array->lineWeakCells(target->set, target->way);
+        target->array->lineWeakSpan(target->set, target->way);
     Millivolt vc = 0.0;
     for (const auto &cell : cells)
         vc = std::max(vc, cell.vc);

